@@ -7,7 +7,6 @@ in one alternating solver. Selection and clustering-based evaluation
 utilities round out the pipeline; the `ufcm` command runs batch experiments.
 """
 
-from ._kernels import BACKEND
 from .dataset import (
     CenterReport,
     CsvFormatError,
@@ -60,7 +59,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "CenterReport",
     "ContingencyTable",
     "CsvFormatError",

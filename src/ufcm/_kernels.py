@@ -1,121 +1,37 @@
 """Hot numeric kernels for the embedded K-means loops.
 
-Two interchangeable backends exist: numba-jitted loops (the default when
-numba is importable) and pure numpy. Select with the environment variable
-``UFCM_BACKEND=numba|numpy``, read once at import time.
+Kernels take samples-as-rows arrays: ``yt`` is (n, k) float64, ``centers`` is
+(c, k), ``labels`` is (n,) int64. ``yt`` may be a transposed view of a
+features-by-samples matrix; no kernel copies it.
 
-Both backends compute the same quantities with the same tie-breaking rules
-(argmin keeps the lowest cluster index). Floating-point sums may differ in
-the last ulp because numpy reduces pairwise while the jitted loops reduce
-sequentially; each backend is individually deterministic.
-
-Kernels take samples-as-rows arrays: ``yt`` is (n, k) C-contiguous float64,
-``centers`` is (c, k), ``labels`` is (n,) int64. Callers (kmeans module)
-handle the transposition from the library's features-by-samples convention.
+Assignment expands the squared distance: ||y - c||^2 = ||y||^2 - 2 y.c +
+||c||^2, and ||y||^2 is the same for every center, so the nearest center is
+the argmin of ||c||^2 - 2 y.c, one matrix product per call. Exact ties keep
+the lowest cluster index. A near-tie, one whose distance gap is within the
+rounding of that expansion (about 1e-16 of ||y||^2 + ||c||^2), follows the
+expanded value, which may differ from the directly computed distance.
 """
-
-import os
 
 import numpy as np
 
 
-def _assign_labels_numpy(yt, centers):
-    d2 = np.empty((yt.shape[0], centers.shape[0]))
-    for k in range(centers.shape[0]):
-        diff = yt - centers[k]
-        d2[:, k] = np.einsum("ij,ij->i", diff, diff)
-    return np.argmin(d2, axis=1)
+def assign_labels(yt, centers):
+    """Index of the nearest center for every row of ``yt``."""
+    scores = yt @ centers.T
+    scores *= -2.0
+    scores += np.einsum("ij,ij->i", centers, centers)
+    return np.argmin(scores, axis=1)
 
 
-def _centroid_sums_numpy(yt, labels, c):
-    sums = np.zeros((c, yt.shape[1]))
-    np.add.at(sums, labels, yt)
-    counts = np.bincount(labels, minlength=c)
-    return sums, counts
+def centroid_sums(yt, labels, c):
+    """Per-cluster sums of the rows of ``yt`` as a (c, k) matrix, and the
+    per-cluster counts, via one product with the one-hot indicator."""
+    onehot = np.zeros((c, labels.size))
+    onehot[labels, np.arange(labels.size)] = 1.0
+    return onehot @ yt, np.bincount(labels, minlength=c)
 
 
-def _fit_value_numpy(yt, centers, labels):
+def fit_value(yt, centers, labels):
+    """Sum of squared distances of every row to its assigned center."""
     diff = yt - centers[labels]
     return float(np.einsum("ij,ij->", diff, diff))
-
-
-def _select_backend():
-    choice = os.environ.get("UFCM_BACKEND", "").strip().lower()
-    if choice not in ("", "numba", "numpy"):
-        raise ValueError(
-            f"UFCM_BACKEND must be 'numba' or 'numpy', got {choice!r}"
-        )
-    if choice == "numpy":
-        return "numpy"
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        if choice == "numba":
-            raise
-        return "numpy"
-    return "numba"
-
-
-BACKEND = _select_backend()
-
-# The jitted variants are defined whenever numba is importable (the benchmark
-# times both), even if the numpy backend was forced for dispatch.
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - exercised only without numba
-    _assign_labels_numba = None
-    _centroid_sums_numba = None
-    _fit_value_numba = None
-else:
-
-    @njit(cache=True)
-    def _assign_labels_numba(yt, centers):
-        n, k = yt.shape
-        c = centers.shape[0]
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            best = 0
-            best_d2 = np.inf
-            for j in range(c):
-                acc = 0.0
-                for m in range(k):
-                    diff = yt[i, m] - centers[j, m]
-                    acc += diff * diff
-                if acc < best_d2:
-                    best_d2 = acc
-                    best = j
-            out[i] = best
-        return out
-
-    @njit(cache=True)
-    def _centroid_sums_numba(yt, labels, c):
-        n, k = yt.shape
-        sums = np.zeros((c, k))
-        counts = np.zeros(c, dtype=np.int64)
-        for i in range(n):
-            lab = labels[i]
-            counts[lab] += 1
-            for m in range(k):
-                sums[lab, m] += yt[i, m]
-        return sums, counts
-
-    @njit(cache=True)
-    def _fit_value_numba(yt, centers, labels):
-        n, k = yt.shape
-        acc = 0.0
-        for i in range(n):
-            lab = labels[i]
-            for m in range(k):
-                diff = yt[i, m] - centers[lab, m]
-                acc += diff * diff
-        return acc
-
-
-if BACKEND == "numba":
-    assign_labels = _assign_labels_numba
-    centroid_sums = _centroid_sums_numba
-    fit_value = _fit_value_numba
-else:
-    assign_labels = _assign_labels_numpy
-    centroid_sums = _centroid_sums_numpy
-    fit_value = _fit_value_numpy

@@ -194,8 +194,6 @@ def _run_grid_point(task) -> list[dict]:
     evaluation: dict[str, dict] = {}
     t0 = time.perf_counter()
     for mi, m in enumerate(counts):
-        if m > data.d:
-            raise ValueError(f"--select {m} exceeds feature count {data.d}")
         subset = select(data, ranking, m)
         selected[str(m)] = [int(i) for i in ranking.order[:m]]
         if data.labels is not None:
@@ -293,6 +291,10 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
     raw, source = _load_data(spec)
+    if spec.select_counts and max(spec.select_counts) > raw.d:
+        raise UsageError(
+            f"--select {max(spec.select_counts)} exceeds feature count {raw.d}"
+        )
     data = _prepare(raw, spec.scale)
 
     points = list(

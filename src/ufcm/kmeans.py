@@ -2,10 +2,9 @@
 
 Data enters as (d', n): columns are samples already projected by the
 coefficient matrix. Centers are (d', c). The hot loops live in `_kernels`
-and run on the transposed, samples-as-rows copies.
+and run on samples-as-rows copies, made once per call.
 
-All randomness flows from explicit integer seeds; runs are bit-reproducible
-per kernel backend.
+All randomness flows from explicit integer seeds; runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -118,7 +117,7 @@ def centroids(y: np.ndarray, indicator: IndicatorMatrix) -> np.ndarray:
     if y.shape[1] != indicator.n:
         raise ValueError("sample count mismatch")
     sums, counts = _kernels.centroid_sums(
-        _rows(y), indicator.assignments, indicator.n_clusters
+        y.T, indicator.assignments, indicator.n_clusters
     )
     if np.any(counts == 0):
         raise ValueError(f"empty cluster {int(np.argmin(counts))}")
@@ -188,15 +187,16 @@ def update_u_with_candidates(
     if r < 0:
         raise ValueError("r must be >= 0")
 
+    # One samples-as-rows copy serves every run: `yt.T` is a view whose
+    # rows are `yt` again, so `run_kmeans` takes it without copying.
+    yt = _rows(y)
     inc_centers = centroids(y, u_prev)
-    inc_fit = _kernels.fit_value(
-        _rows(y), _rows(inc_centers), u_prev.assignments
-    )
+    inc_fit = _kernels.fit_value(yt, _rows(inc_centers), u_prev.assignments)
     best = KMeansResult(indicator=u_prev, centers=inc_centers, fit=inc_fit)
 
     if r > 0:
         for s in np.random.SeedSequence(seed).generate_state(r):
-            cand = run_kmeans(y, c, int(s), max_iter=max_iter)
+            cand = run_kmeans(yt.T, c, int(s), max_iter=max_iter)
             if cand.fit < best.fit:
                 best = cand
     return best

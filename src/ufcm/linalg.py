@@ -29,13 +29,16 @@ class EigenPairs:
 
 
 def require_centered(x: np.ndarray, tol: float = 1e-6) -> None:
-    """Raise unless every feature mean is numerically zero.
+    """Raise unless every entry is finite and every feature mean is
+    numerically zero.
 
     The tolerance scales with the data magnitude so that centered large-scale
     data does not trip the check on floating-point residue.
     """
     x = np.asarray(x)
     scale = float(np.abs(x).max()) if x.size else 0.0
+    if not np.isfinite(scale):  # the max of |x| is NaN or inf if any entry is
+        raise ValueError("matrix has non-finite (NaN or inf) entries")
     worst = float(np.abs(x.mean(axis=1)).max())
     if worst > tol * max(1.0, scale):
         raise ValueError(

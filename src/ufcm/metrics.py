@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .dataset import DataMatrix
 from .kmeans import run_kmeans
@@ -97,6 +96,10 @@ def accuracy(pred, truth) -> float:
     The contingency table is padded to square and the maximizing assignment
     found by Kuhn-Munkres on max-count-minus-count costs.
     """
+    # Imported here: scipy.optimize costs about 0.5 s, which every
+    # `import ufcm` would otherwise pay.
+    from scipy.optimize import linear_sum_assignment
+
     table = contingency(pred, truth)
     counts = table.counts
     size = max(counts.shape)

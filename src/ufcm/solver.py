@@ -109,8 +109,8 @@ def compute_d(w: np.ndarray, p: float, eps_row: float) -> np.ndarray:
     return 1.0 / ((2.0 / p) * norms ** (2.0 - p))
 
 
-def _terms(x, w, g, u: IndicatorMatrix, cfg: SolverConfig):
-    y = w.T @ x
+def _terms(y, w, g, u: IndicatorMatrix, cfg: SolverConfig):
+    """Scatter, fit and regularizer terms, given Y = W^T X."""
     scatter = float(np.einsum("ij,ij->", y, y))  # Tr(W^T X X^T W)
     fit = _kernels.fit_value(
         np.ascontiguousarray(y.T), np.ascontiguousarray(g.T), u.assignments
@@ -135,7 +135,7 @@ def objective(
     if g.shape[1] != u.n_clusters or u.n != x.shape[1]:
         raise ValueError("indicator does not match x and g")
     require_centered(x)
-    scatter, fit, reg = _terms(x, w, g, u, cfg)
+    scatter, fit, reg = _terms(w.T @ x, w, g, u, cfg)
     return scatter - cfg.alpha * fit - cfg.beta * reg
 
 
@@ -160,9 +160,7 @@ def build_m(
     counts = u.counts()
     if np.any(counts == 0):
         raise ValueError("empty cluster")
-    sums, _ = _kernels.centroid_sums(
-        np.ascontiguousarray(x.T), u.assignments, u.n_clusters
-    )
+    sums, _ = _kernels.centroid_sums(x.T, u.assignments, u.n_clusters)
     scaled = sums.T / np.sqrt(counts)          # (d, c)
     m = (1.0 - cfg.alpha) * gram + cfg.alpha * (scaled @ scaled.T)
     m[np.diag_indices_from(m)] -= cfg.beta * np.asarray(d_diag)
@@ -174,9 +172,10 @@ def update_w(m: np.ndarray, d_prime: int) -> np.ndarray:
     return sym_eig_top(m, d_prime).vectors
 
 
-def update_g(x: np.ndarray, w: np.ndarray, u: IndicatorMatrix) -> np.ndarray:
-    """Centroid closed form W^T X U (U^T U)^{-1}, i.e. per-cluster means."""
-    return centroids(np.asarray(w).T @ np.asarray(x), u)
+def update_g(y: np.ndarray, u: IndicatorMatrix) -> np.ndarray:
+    """Centroid closed form W^T X U (U^T U)^{-1}, i.e. per-cluster means,
+    from the projected data Y = W^T X."""
+    return centroids(y, u)
 
 
 def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
@@ -206,13 +205,14 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.max_iter + 1)
 
     w = update_w(gram, d_prime)  # PCA init: top eigenvectors of S_t
-    km = run_kmeans(w.T @ x, cfg.c, int(seeds[0]))
+    y = w.T @ x  # shared by the terms, the G update and the next U update
+    km = run_kmeans(y, cfg.c, int(seeds[0]))
     u, g = km.indicator, km.centers
 
     trace = SolverTrace()
 
     def record(changes: int):
-        scatter, fit, reg = _terms(x, w, g, u, cfg)
+        scatter, fit, reg = _terms(y, w, g, u, cfg)
         obj = scatter - cfg.alpha * fit - cfg.beta * reg
         prev = trace.objective[-1] if trace.objective else None
         rel = np.inf if prev is None else abs(obj - prev) / (1.0 + abs(prev))
@@ -233,15 +233,14 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
     iterations = 0
     for i in range(1, cfg.max_iter + 1):
         d_diag = compute_d(w, cfg.p, cfg.eps_row)
-        km = update_u_with_candidates(
-            w.T @ x, u, cfg.c, cfg.r, int(seeds[i])
-        )
+        km = update_u_with_candidates(y, u, cfg.c, cfg.r, int(seeds[i]))
         changes = int(
             np.count_nonzero(km.indicator.assignments != u.assignments)
         )
         u = km.indicator
         w = update_w(build_m(x, u, d_diag, cfg, gram=gram), d_prime)
-        g = update_g(x, w, u)
+        y = w.T @ x
+        g = update_g(y, u)
         iterations = i
         if record(changes) < cfg.tol:
             converged = True

@@ -205,6 +205,25 @@ def test_bad_synthetic_spec_is_usage_error(tmp_path):
     assert code == 2
 
 
+def test_select_beyond_feature_count_is_usage_error_before_solving(
+    tmp_path, capsys, monkeypatch
+):
+    def no_solve(*args):
+        raise AssertionError("solve ran")
+
+    monkeypatch.setattr("ufcm.cli.solve", no_solve)
+    code = main(
+        [
+            "--synthetic", BLOBS,  # 3 + 5 = 8 features
+            "--clusters", "3",
+            "--select", "3,50",
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 2
+    assert "--select 50 exceeds feature count 8" in capsys.readouterr().err
+
+
 def test_grid_flag_without_value_uses_default_grid():
     args = build_parser().parse_args(
         ["--synthetic", BLOBS, "--clusters", "3", "--out", "o", "--grid-alpha"]

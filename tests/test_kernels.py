@@ -1,65 +1,164 @@
-"""Backend equivalence: the jitted kernels must match the numpy fallback."""
+"""The K-means kernels against plain-loop references.
+
+`assign_labels` ranks centers by the expanded distance ||c||^2 - 2 y.c, so
+its labels equal the loop's argmin of the direct distance wherever the gap
+between the best and second-best center exceeds the rounding of that
+expansion; near-ties follow the expanded value (documented below).
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ufcm import _kernels
 
-pytestmark = pytest.mark.skipif(
-    _kernels._assign_labels_numba is None, reason="numba not available"
-)
-
-PAIRS = [
-    (_kernels._assign_labels_numpy, _kernels._assign_labels_numba),
-    (_kernels._centroid_sums_numpy, _kernels._centroid_sums_numba),
-    (_kernels._fit_value_numpy, _kernels._fit_value_numba),
-]
+GAP = 1e-9  # relative to ||y||^2 + max ||c||^2, the scale of the rounding
 
 
-def _instance(seed, n=200, k=6, c=4):
+def loop_distances(yt, centers):
+    d2 = np.zeros((yt.shape[0], centers.shape[0]))
+    for i in range(yt.shape[0]):
+        for k in range(centers.shape[0]):
+            for m in range(yt.shape[1]):
+                d2[i, k] += (yt[i, m] - centers[k, m]) ** 2
+    return d2
+
+
+def loop_sums(yt, labels, c):
+    sums = np.zeros((c, yt.shape[1]))
+    counts = np.zeros(c, dtype=np.int64)
+    for i, lab in enumerate(labels):
+        sums[lab] += yt[i]
+        counts[lab] += 1
+    return sums, counts
+
+
+def check_labels_against_loop(yt, centers):
+    labels = _kernels.assign_labels(yt, centers)
+    d2 = loop_distances(yt, centers)
+    assert labels.shape == (yt.shape[0],)
+    if centers.shape[0] == 1:
+        assert np.all(labels == 0)
+        return
+    two = np.sort(d2, axis=1)[:, :2]
+    scale = np.einsum("ij,ij->i", yt, yt) + np.max(
+        np.einsum("ij,ij->i", centers, centers)
+    )
+    clear = two[:, 1] - two[:, 0] > GAP * np.maximum(scale, 1.0)
+    assert np.array_equal(labels[clear], np.argmin(d2, axis=1)[clear])
+    # Where the gap is within rounding, the label is still a nearest center
+    # up to that rounding.
+    chosen = d2[np.arange(yt.shape[0]), labels]
+    assert np.all(chosen - two[:, 0] <= GAP * np.maximum(scale, 1.0))
+
+
+def check_sums_against_loop(yt, labels, c):
+    sums, counts = _kernels.centroid_sums(yt, labels, c)
+    ref_sums, ref_counts = loop_sums(yt, labels, c)
+    assert np.array_equal(counts, ref_counts)
+    # Relative to the members' absolute sum: summation order may differ.
+    magnitude, _ = loop_sums(np.abs(yt), labels, c)
+    assert np.all(np.abs(sums - ref_sums) <= 1e-12 * magnitude)
+
+
+def instance(seed, n=200, k=6, c=4):
     rng = np.random.default_rng(seed)
-    yt = np.ascontiguousarray(rng.normal(size=(n, k)))
-    centers = np.ascontiguousarray(rng.normal(size=(c, k)))
-    labels = rng.integers(0, c, size=n).astype(np.int64)
+    yt = rng.normal(size=(n, k))
+    centers = rng.normal(size=(c, k))
+    labels = rng.integers(0, c, size=n)
     return yt, centers, labels
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_assign_labels_backends_agree(seed):
-    yt, centers, _ = _instance(seed)
-    np_labels = _kernels._assign_labels_numpy(yt, centers)
-    nb_labels = _kernels._assign_labels_numba(yt, centers)
-    assert np.array_equal(np_labels, nb_labels)
+def test_assign_labels_matches_loop_argmin(seed):
+    yt, centers, _ = instance(seed)
+    check_labels_against_loop(yt, centers)
 
 
-def test_assign_labels_tie_breaks_low_index():
-    yt = np.array([[0.0, 0.0]])
-    centers = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    assert _kernels._assign_labels_numpy(yt, centers)[0] == 0
-    assert _kernels._assign_labels_numba(yt, centers)[0] == 0
+def test_assign_labels_accepts_column_major_rows():
+    yt, centers, _ = instance(7, n=50)
+    columns = np.asfortranarray(yt)  # same values, column-major storage
+    assert np.array_equal(
+        _kernels.assign_labels(columns, centers),
+        _kernels.assign_labels(yt, centers),
+    )
+
+
+@pytest.mark.parametrize(
+    "point, centers, expected",
+    [
+        ([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]], 0),
+        ([0.5, 0.0], [[0.0, 0.0], [1.0, 0.0]], 0),
+        ([0.0, 0.0], [[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]], 0),
+        ([0.0, 0.0], [[3.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], 1),
+    ],
+)
+def test_exact_tie_goes_to_lowest_index(point, centers, expected):
+    yt = np.array([point])
+    assert _kernels.assign_labels(yt, np.array(centers))[0] == expected
+
+
+def test_near_tie_follows_expanded_distance():
+    # y sits 1e-6 closer to the second center. Direct differences resolve
+    # that, but ||c||^2 - 2 y.c rounds both centers to the same value at
+    # magnitude 1e12, so the exact-tie rule picks index 0.
+    a = 1e6
+    yt = np.array([[a + 0.5 + 1e-6]])
+    centers = np.array([[a], [a + 1.0]])
+    assert np.argmin(loop_distances(yt, centers)[0]) == 1
+    expanded = np.einsum("ij,ij->i", centers, centers) - 2.0 * (yt @ centers.T)
+    assert expanded[0, 0] == expanded[0, 1]
+    assert _kernels.assign_labels(yt, centers)[0] == 0
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_centroid_sums_backends_agree(seed):
-    yt, _, labels = _instance(seed)
-    np_sums, np_counts = _kernels._centroid_sums_numpy(yt, labels, 4)
-    nb_sums, nb_counts = _kernels._centroid_sums_numba(yt, labels, 4)
-    assert np.array_equal(np_counts, nb_counts)
-    assert np.allclose(np_sums, nb_sums, rtol=1e-14, atol=1e-14)
+def test_centroid_sums_match_loop(seed):
+    yt, _, labels = instance(seed)
+    check_sums_against_loop(yt, labels, 4)
+
+
+def test_centroid_sums_of_a_transposed_view_match_loop():
+    x = np.random.default_rng(3).normal(size=(30, 40))  # features by samples
+    labels = np.arange(40) % 3
+    check_sums_against_loop(x.T, labels, 3)
+
+
+def test_centroid_sums_empty_cluster_counts_zero():
+    yt = np.arange(6.0).reshape(3, 2)
+    sums, counts = _kernels.centroid_sums(yt, np.array([0, 2, 0]), 4)
+    assert counts.tolist() == [2, 0, 1, 0]
+    assert sums.tolist() == [[4.0, 6.0], [0.0, 0.0], [2.0, 3.0], [0.0, 0.0]]
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_fit_value_backends_agree(seed):
-    yt, centers, labels = _instance(seed)
-    a = _kernels._fit_value_numpy(yt, centers, labels)
-    b = _kernels._fit_value_numba(yt, centers, labels)
-    assert a == pytest.approx(b, rel=1e-13)
+def test_fit_value_matches_loop(seed):
+    yt, centers, labels = instance(seed)
+    ref = 0.0
+    for i, lab in enumerate(labels):
+        for m in range(yt.shape[1]):
+            ref += (yt[i, m] - centers[lab, m]) ** 2
+    assert _kernels.fit_value(yt, centers, labels) == pytest.approx(
+        ref, rel=1e-13
+    )
 
 
-def test_dispatch_matches_flag():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    expected = {
-        "numba": _kernels._assign_labels_numba,
-        "numpy": _kernels._assign_labels_numpy,
-    }[_kernels.BACKEND]
-    assert _kernels.assign_labels is expected
+@st.composite
+def kernel_inputs(draw):
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 5))
+    c = draw(st.integers(1, 6))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    yt = draw(arrays(np.float64, (n, k), elements=values))
+    centers = draw(arrays(np.float64, (c, k), elements=values))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, c - 1)))
+    return yt, centers, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_inputs())
+def test_kernels_match_loops_on_random_shapes(inputs):
+    yt, centers, labels = inputs
+    check_labels_against_loop(yt, centers)
+    check_sums_against_loop(yt, labels, centers.shape[0])

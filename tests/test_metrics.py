@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ufcm
 from ufcm.dataset import DataMatrix, center, make_blobs
 from ufcm.metrics import (
     accuracy,
@@ -180,6 +185,22 @@ def test_accuracy_length_mismatch():
 def test_accuracy_empty():
     with pytest.raises(ValueError):
         accuracy([], [])
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # accuracy() imports linear_sum_assignment when first called, so a bare
+    # `import ufcm` does not pay for scipy.optimize.
+    env = dict(os.environ, PYTHONPATH=str(Path(ufcm.__file__).parents[1]))
+    probe = "import sys, ufcm; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_nmi_identity_is_one():

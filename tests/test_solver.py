@@ -68,7 +68,7 @@ def test_config_validation():
 def test_objective_matches_loop_oracle():
     x, u, w, _ = small_instance(0)
     cfg = cfg_for(alpha=0.7, beta=1.3, p=0.8)
-    g = update_g(x, w, u)
+    g = update_g(w.T @ x, u)
 
     scatter = 0.0
     fit = 0.0
@@ -149,19 +149,19 @@ def test_update_g_identity_projector(rng):
     x = rng.normal(size=(3, 4))
     x -= x.mean(axis=1, keepdims=True)
     w = random_orthonormal(rng, 3, 2)
-    g = update_g(x, w, IndicatorMatrix(np.arange(4), 4))
+    g = update_g(w.T @ x, IndicatorMatrix(np.arange(4), 4))
     assert np.abs(g - w.T @ x).max() < 1e-12
 
 
 def test_update_g_single_cluster(rng):
     x, _, w, _ = small_instance(3)
-    g = update_g(x, w, IndicatorMatrix(np.zeros(15, dtype=int), 1))
+    g = update_g(w.T @ x, IndicatorMatrix(np.zeros(15, dtype=int), 1))
     assert np.allclose(g[:, 0], (w.T @ x).mean(axis=1), atol=1e-12)
 
 
 def test_update_g_matches_mean_loop(rng):
     x, u, w, _ = small_instance(4)
-    g = update_g(x, w, u)
+    g = update_g(w.T @ x, u)
     y = w.T @ x
     for k in range(u.n_clusters):
         members = np.flatnonzero(u.assignments == k)
@@ -190,7 +190,7 @@ def test_substitution_identity_50_instances():
             c=c,
         )
         d_diag = compute_d(w, cfg.p, cfg.eps_row)
-        g = update_g(x, w, u)
+        g = update_g(w.T @ x, u)
 
         y = w.T @ x
         scatter = float(np.einsum("ij,ij->", y, y))
@@ -296,6 +296,17 @@ def test_solve_rejects_uncentered():
     rng = np.random.default_rng(7)
     with pytest.raises(ValueError, match="not centered"):
         solve(rng.normal(loc=3.0, size=(5, 30)), cfg_for())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_and_objective_reject_non_finite(bad):
+    x, u, w, _ = small_instance(5)
+    g = update_g(w.T @ x, u)
+    x[2, 7] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(x, cfg_for())
+    with pytest.raises(ValueError, match="non-finite"):
+        objective(x, w, g, u, cfg_for())
 
 
 def test_solve_validates_dimensions():
