@@ -102,9 +102,17 @@ def _parse_synthetic(text: str, seed: int) -> DataMatrix:
     return make_blobs(seed=seed, **kwargs)
 
 
+def _sha256_file(path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
 def _load_data(spec: ExperimentSpec) -> tuple[DataMatrix, dict]:
     if spec.input is not None:
-        digest = hashlib.sha256(Path(spec.input).read_bytes()).hexdigest()
+        digest = _sha256_file(spec.input)
         data = load_csv(spec.input, label_column=spec.label_column)
         source = {
             "kind": "csv",

@@ -11,7 +11,9 @@ takes a bare ndarray, so labels can never leak into fitting.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -83,14 +85,9 @@ class DataMatrix:
 
 @dataclass
 class CenterReport:
-    """What `center` subtracted.
-
-    `was_centered` records whether the input already had (numerically) zero
-    feature means before the call.
-    """
+    """What `center` subtracted."""
 
     mean_vector: np.ndarray
-    was_centered: bool
 
 
 def center(data: DataMatrix) -> tuple[DataMatrix, CenterReport]:
@@ -100,14 +97,12 @@ def center(data: DataMatrix) -> tuple[DataMatrix, CenterReport]:
     with the subtracted mean. Idempotent up to floating-point residue.
     """
     mean = data.values.mean(axis=1)
-    scale = float(np.abs(data.values).max())
-    already = bool(np.abs(mean).max() <= 1e-12 * (1.0 + scale))
     centered = DataMatrix(
         data.values - mean[:, None],
         feature_names=data.feature_names,
         labels=data.labels,
     )
-    return centered, CenterReport(mean_vector=mean, was_centered=already)
+    return centered, CenterReport(mean_vector=mean)
 
 
 def _looks_like_header(row: list[str]) -> bool:
@@ -119,102 +114,141 @@ def _looks_like_header(row: list[str]) -> bool:
     return False
 
 
+def _to_float(text: str) -> float:
+    """Parse a stripped cell as numpy's text reader does: Python's float
+    syntax without digit-group underscores or non-ASCII characters."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return float(text)
+
+
+def _raise_first_bad_cell(
+    path, header, n_cols, label_idx, reason: str
+) -> NoReturn:
+    """Rescan the file row by row and raise a CsvFormatError naming the
+    first ragged row or bad cell. Runs only after the fast parse has failed;
+    `reason` words the error if the rescan finds nothing."""
+
+    def col_name(j: int) -> str:
+        return repr(header[j]) if header is not None else str(j)
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = (row for row in csv.reader(fh) if row)
+        if header is not None:
+            next(rows)
+        for line, row in enumerate(rows, 1 if header is None else 2):
+            if len(row) != n_cols:
+                raise CsvFormatError(
+                    f"{path}: row {line} has {len(row)} cells, "
+                    f"expected {n_cols}"
+                )
+            for j, cell in enumerate(row):
+                if j == label_idx:
+                    continue
+                where = f"{path}: row {line}, column {col_name(j)}"
+                text = cell.strip()
+                if not text:
+                    raise CsvFormatError(f"{where}: empty cell")
+                try:
+                    value = _to_float(text)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{where}: cannot parse {cell!r} as a number"
+                    ) from None
+                if not np.isfinite(value):
+                    raise CsvFormatError(f"{where}: non-finite value {cell!r}")
+    raise CsvFormatError(f"{path}: {reason}")
+
+
 def load_csv(path, label_column: str | int | None = None) -> DataMatrix:
     """Load a samples-as-rows CSV into a (d, n) DataMatrix.
 
     Args:
-        path: CSV file; first line may be a header (detected by whether every
-            cell parses as a number). Values must be finite decimal reals.
+        path: CSV file, comma-separated; blank lines are skipped and CRLF
+            line ends are accepted. The first line may be a header (detected
+            by whether every cell parses as a number). Data cells are finite
+            reals in numpy's float syntax: Python's float() syntax without
+            digit-group underscores (``1_000``) or non-ASCII digits,
+            surrounding whitespace allowed, optionally quoted (``"1.5"``).
+            ``#`` starts no comment: a cell holding one is an error.
         label_column: column holding ground-truth labels, by header name or
             zero-based index. Label values are re-indexed to 0..c-1 in sorted
             order of their string form.
 
     Raises:
-        CsvFormatError: on unparseable cells (row and column reported),
-            ragged rows, or fewer than two samples.
+        CsvFormatError: on an empty cell, an unparseable or non-finite value
+            (row and column reported), a ragged row, or no data rows.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise CsvFormatError(f"{path}: empty file")
+        first = next((row for row in csv.reader(fh) if row), None)
+        if first is None:
+            raise CsvFormatError(f"{path}: empty file")
+        header = first if _looks_like_header(first) else None
+        if header is None:
+            fh.seek(0)
+        n_cols = len(first)
 
-    header: list[str] | None = rows[0] if _looks_like_header(rows[0]) else None
-    data_rows = rows[1:] if header is not None else rows
-    first_line = 2 if header is not None else 1
-    if not data_rows:
+        label_idx: int | None = None
+        if label_column is not None:
+            if isinstance(label_column, str):
+                if header is None:
+                    raise CsvFormatError(
+                        f"{path}: label column {label_column!r} requested "
+                        "by name but the file has no header"
+                    )
+                try:
+                    label_idx = header.index(label_column)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path}: no column named {label_column!r} in header"
+                    ) from None
+            else:
+                label_idx = int(label_column)
+                if not 0 <= label_idx < n_cols:
+                    raise CsvFormatError(
+                        f"{path}: label column index {label_idx} out of range "
+                        f"for {n_cols} columns"
+                    )
+
+        raw_labels: list[str] = []
+
+        def keep_label(cell: str) -> float:
+            raw_labels.append(cell.strip())
+            return 0.0
+
+        try:
+            with warnings.catch_warnings():
+                # A header-only file is reported below as "no data rows".
+                warnings.filterwarnings("ignore", "loadtxt: input contained")
+                rows = np.loadtxt(
+                    fh,
+                    dtype=np.float64,
+                    delimiter=",",
+                    quotechar='"',
+                    comments=None,
+                    ndmin=2,
+                    converters=(
+                        None if label_idx is None else {label_idx: keep_label}
+                    ),
+                )
+        except ValueError as exc:
+            _raise_first_bad_cell(path, header, n_cols, label_idx, str(exc))
+    if not rows.size:
         raise CsvFormatError(f"{path}: no data rows")
-
-    n_cols = len(data_rows[0]) if header is None else len(header)
-
-    label_idx: int | None = None
-    if label_column is not None:
-        if isinstance(label_column, str):
-            if header is None:
-                raise CsvFormatError(
-                    f"{path}: label column {label_column!r} requested "
-                    "by name but the file has no header"
-                )
-            try:
-                label_idx = header.index(label_column)
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: no column named {label_column!r} in header"
-                ) from None
-        else:
-            label_idx = int(label_column)
-            if not 0 <= label_idx < n_cols:
-                raise CsvFormatError(
-                    f"{path}: label column index {label_idx} out of range "
-                    f"for {n_cols} columns"
-                )
-
-    def col_name(j: int) -> str:
-        return repr(header[j]) if header is not None else str(j)
-
-    samples: list[list[float]] = []
-    raw_labels: list[str] = []
-    for i, row in enumerate(data_rows):
-        line = first_line + i
-        if len(row) != n_cols:
-            raise CsvFormatError(
-                f"{path}: row {line} has {len(row)} cells, expected {n_cols}"
-            )
-        sample = []
-        for j, cell in enumerate(row):
-            if j == label_idx:
-                raw_labels.append(cell.strip())
-                continue
-            text = cell.strip()
-            if not text:
-                raise CsvFormatError(
-                    f"{path}: row {line}, column {col_name(j)}: empty cell"
-                )
-            try:
-                value = float(text)
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: row {line}, column {col_name(j)}: "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
-            if not np.isfinite(value):
-                raise CsvFormatError(
-                    f"{path}: row {line}, column {col_name(j)}: "
-                    f"non-finite value {cell!r}"
-                )
-            sample.append(value)
-        samples.append(sample)
+    if rows.shape[1] != n_cols or not np.isfinite(rows).all():
+        _raise_first_bad_cell(path, header, n_cols, label_idx, "bad cell")
 
     labels = None
     if label_idx is not None:
         _, labels = np.unique(raw_labels, return_inverse=True)
         labels = labels.astype(np.int64)
+        rows = np.delete(rows, label_idx, axis=1)
 
     feature_names = None
     if header is not None:
         feature_names = [h for j, h in enumerate(header) if j != label_idx]
 
-    values = np.asarray(samples, dtype=np.float64).T
-    return DataMatrix(values, feature_names=feature_names, labels=labels)
+    return DataMatrix(rows.T, feature_names=feature_names, labels=labels)
 
 
 def write_csv(data: DataMatrix, path) -> None:

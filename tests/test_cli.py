@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -146,6 +147,30 @@ def test_csv_input_path(tmp_path):
     assert record["source"]["kind"] == "csv"
     assert len(record["source"]["sha256"]) == 64
     assert record["evaluation"]["2"]["acc_mean"] >= 0.9
+
+
+def test_csv_record_digest_is_sha256_of_the_file(tmp_path):
+    data = make_blobs(12, 2, 2, 3, separation=4.0, noise_scale=1.0, seed=1)
+    csv_path = tmp_path / "data.csv"
+    write_csv(data, csv_path)
+    # Trailing blank lines load as nothing but push the file past several
+    # hashing blocks.
+    with open(csv_path, "a", newline="") as fh:
+        fh.write("\n" * (3 << 19))
+    out = tmp_path / "out"
+    code = main(
+        [
+            "--input", str(csv_path),
+            "--clusters", "2",
+            "--restarts", "1",
+            "--max-iter", "1",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    record, _ = load_record(out / "record_gp000.json")
+    expected = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert record["source"]["sha256"] == expected
 
 
 def test_unlabeled_csv_skips_evaluation(tmp_path):
