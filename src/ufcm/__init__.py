@@ -8,7 +8,6 @@ utilities round out the pipeline; the `ufcm` command runs batch experiments.
 """
 
 from .dataset import (
-    CenterReport,
     CsvFormatError,
     DataMatrix,
     center,
@@ -19,18 +18,9 @@ from .dataset import (
 from .kmeans import (
     IndicatorMatrix,
     KMeansResult,
-    assign,
     centroids,
     run_kmeans,
     update_u_with_candidates,
-)
-from .linalg import (
-    EigenPairs,
-    ScatterSet,
-    labeled_scatters,
-    pca_init,
-    sym_eig_top,
-    total_scatter,
 )
 from .metrics import (
     ContingencyTable,
@@ -38,7 +28,6 @@ from .metrics import (
     FeatureRanking,
     accuracy,
     evaluate_clustering,
-    l2p_norm,
     max_variance_ranking,
     nmi,
     rank_features,
@@ -59,40 +48,31 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CenterReport",
     "ContingencyTable",
     "CsvFormatError",
     "DataMatrix",
-    "EigenPairs",
     "EvalStats",
     "FeatureRanking",
     "IndicatorMatrix",
     "KMeansResult",
-    "ScatterSet",
     "SolverConfig",
     "SolverResult",
     "SolverTrace",
     "accuracy",
-    "assign",
     "build_m",
     "center",
     "centroids",
     "compute_d",
     "evaluate_clustering",
-    "l2p_norm",
-    "labeled_scatters",
     "load_csv",
     "make_blobs",
     "max_variance_ranking",
     "nmi",
     "objective",
-    "pca_init",
     "rank_features",
     "run_kmeans",
     "select",
     "solve",
-    "sym_eig_top",
-    "total_scatter",
     "update_g",
     "update_u_with_candidates",
     "update_w",

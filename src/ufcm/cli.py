@@ -132,7 +132,7 @@ def _load_data(spec: ExperimentSpec) -> tuple[DataMatrix, dict]:
 
 
 def _prepare(data: DataMatrix, scale: bool) -> DataMatrix:
-    prepared, _ = center(data)
+    prepared = center(data)
     if scale:
         std = prepared.values.std(axis=1)
         std[std == 0.0] = 1.0
@@ -162,18 +162,6 @@ def emit_trace(result: SolverResult, path) -> None:
                     repr(tr.regularizer_pow_p[i]),
                 ]
             )
-
-
-def read_trace(path) -> dict[str, list]:
-    """Parse an emit_trace file back into columns."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    columns: dict[str, list] = {name: [] for name in header}
-    for row in body:
-        for name, cell in zip(header, row):
-            columns[name].append(int(cell) if name == "iteration" else float(cell))
-    return columns
 
 
 def _run_grid_point(task) -> list[dict]:
@@ -387,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--select",
+        dest="select_counts",
+        metavar="SELECT",
         type=_comma_ints,
         help="comma list of selected-feature counts (default: all features)",
     )
@@ -416,28 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec = ExperimentSpec(
-            out=args.out,
-            clusters=args.clusters,
-            input=args.input,
-            label_column=args.label_column,
-            synthetic=args.synthetic,
-            alpha=args.alpha,
-            beta=args.beta,
-            p=args.p,
-            dim=args.dim,
-            select_counts=args.select,
-            restarts=args.restarts,
-            max_iter=args.max_iter,
-            tol=args.tol,
-            seed=args.seed,
-            eval_runs=args.eval_runs,
-            grid_alpha=args.grid_alpha,
-            grid_beta=args.grid_beta,
-            grid_p=args.grid_p,
-            jobs=args.jobs,
-            scale=args.scale,
-        )
+        spec = ExperimentSpec(**vars(args))
     except UsageError as exc:
         print(f"ufcm: {exc}", file=sys.stderr)
         return 2

@@ -76,33 +76,19 @@ class DataMatrix:
     def n(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        if self.labels is None:
-            raise ValueError("data has no labels")
-        return int(self.labels.max()) + 1
 
-
-@dataclass
-class CenterReport:
-    """What `center` subtracted."""
-
-    mean_vector: np.ndarray
-
-
-def center(data: DataMatrix) -> tuple[DataMatrix, CenterReport]:
+def center(data: DataMatrix) -> DataMatrix:
     """Subtract the per-feature sample mean.
 
-    Returns the centered matrix (names and labels carried over) and a report
-    with the subtracted mean. Idempotent up to floating-point residue.
+    Returns the centered matrix with names and labels carried over.
+    Idempotent up to floating-point residue.
     """
     mean = data.values.mean(axis=1)
-    centered = DataMatrix(
+    return DataMatrix(
         data.values - mean[:, None],
         feature_names=data.feature_names,
         labels=data.labels,
     )
-    return centered, CenterReport(mean_vector=mean)
 
 
 def _looks_like_header(row: list[str]) -> bool:

@@ -19,10 +19,10 @@ from . import _kernels
 
 @dataclass
 class IndicatorMatrix:
-    """One cluster id per sample; the dense one-hot form on demand.
+    """One cluster id per sample: the one-hot matrix U in compact form.
 
-    Produced by `assign`/`run_kmeans`, every cluster is non-empty, which
-    keeps U^T U invertible for the centroid closed form.
+    Produced by `run_kmeans`, every cluster is non-empty, which keeps U^T U
+    invertible for the centroid closed form.
     """
 
     assignments: np.ndarray  # (n,) int64 in 0..n_clusters-1
@@ -45,12 +45,6 @@ class IndicatorMatrix:
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.assignments, minlength=self.n_clusters)
-
-    def dense(self) -> np.ndarray:
-        """The (n, c) one-hot matrix U."""
-        u = np.zeros((self.n, self.n_clusters))
-        u[np.arange(self.n), self.assignments] = 1.0
-        return u
 
 
 class KMeansResult(NamedTuple):
@@ -84,28 +78,6 @@ def _repair_empty(yt, labels, center_rows, c):
         counts[donor] -= 1
         counts[k] += 1
     return labels
-
-
-def assign(y: np.ndarray, centers: np.ndarray) -> IndicatorMatrix:
-    """Nearest-center assignment, ties to the lowest cluster index.
-
-    Minimizes ||Y - G U^T||_F^2 over one-hot U for the given centers; empty
-    clusters are then repaired so every cluster keeps at least one sample.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64)
-    if y.ndim != 2 or centers.ndim != 2 or y.shape[0] != centers.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: y {y.shape} vs centers {centers.shape}"
-        )
-    c = centers.shape[1]
-    if c > y.shape[1]:
-        raise ValueError(f"more clusters ({c}) than samples ({y.shape[1]})")
-    yt = _rows(y)
-    center_rows = _rows(centers)
-    labels = _kernels.assign_labels(yt, center_rows)
-    labels = _repair_empty(yt, labels, center_rows, c)
-    return IndicatorMatrix(labels, c)
 
 
 def centroids(y: np.ndarray, indicator: IndicatorMatrix) -> np.ndarray:

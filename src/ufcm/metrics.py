@@ -31,15 +31,6 @@ class ContingencyTable:
     n: int
 
 
-def l2p_norm(m: np.ndarray, p: float) -> float:
-    """Row-wise l2 norms aggregated with power p: (sum_i ||m^i||^p)^(1/p)."""
-    if not p > 0:
-        raise ValueError("p must be > 0")
-    m = np.asarray(m, dtype=np.float64)
-    row_norms = np.linalg.norm(m, axis=1)
-    return float(np.sum(row_norms**p) ** (1.0 / p))
-
-
 def rank_features(w: np.ndarray) -> FeatureRanking:
     """Score each feature by the l2 norm of its coefficient row."""
     w = np.asarray(w, dtype=np.float64)

@@ -168,7 +168,11 @@ def build_m(
 
 
 def update_w(m: np.ndarray, d_prime: int) -> np.ndarray:
-    """Top-d' eigenvectors of M: the trace-optimal orthonormal W."""
+    """Top-d' eigenvectors of M: the trace-optimal orthonormal W.
+
+    M must be exactly symmetric, as `build_m` returns it; only its lower
+    triangle is read.
+    """
     return sym_eig_top(m, d_prime).vectors
 
 

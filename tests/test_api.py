@@ -1,0 +1,33 @@
+import ufcm
+import ufcm.cli
+
+# Helpers only the tests called, deleted from the package.
+DELETED = [
+    "CenterReport",
+    "ScatterSet",
+    "assign",
+    "l2p_norm",
+    "labeled_scatters",
+    "pca_init",
+    "total_scatter",
+]
+
+
+def test_every_exported_name_resolves():
+    for name in ufcm.__all__:
+        assert getattr(ufcm, name) is not None, name
+
+
+def test_exports_have_no_duplicates():
+    assert len(ufcm.__all__) == len(set(ufcm.__all__))
+
+
+def test_deleted_helpers_are_gone():
+    for name in DELETED:
+        assert not hasattr(ufcm, name), name
+    assert not hasattr(ufcm.cli, "read_trace")
+    assert not hasattr(ufcm.IndicatorMatrix, "dense")
+    assert not hasattr(ufcm.DataMatrix, "n_classes")
+    # Solver internals, still in their modules but not exported.
+    assert "sym_eig_top" not in ufcm.__all__
+    assert "EigenPairs" not in ufcm.__all__

@@ -1,7 +1,8 @@
+import csv
+import dataclasses
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from ufcm.cli import (
@@ -11,7 +12,6 @@ from ufcm.cli import (
     emit_trace,
     load_record,
     main,
-    read_trace,
     run_experiment,
 )
 from ufcm.dataset import make_blobs, write_csv
@@ -115,13 +115,19 @@ def test_emit_trace_round_trip(tmp_path):
     result = solve(x, SolverConfig(alpha=1.0, beta=1.0, p=1.0, c=3, seed=0))
     path = tmp_path / "trace.csv"
     emit_trace(result, path)
-    columns = read_trace(path)
-    assert columns["iteration"] == list(range(len(result.trace)))
-    assert columns["objective"] == result.trace.objective  # exact re-parse
-    assert columns["fit"] == result.trace.fit_term
-    assert columns["scatter"] == result.trace.scatter_term
-    assert columns["regularizer"] == result.trace.regularizer_pow_p
-    obj = columns["objective"]
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["iteration", "objective", "fit", "scatter", "regularizer"]
+    tr = result.trace
+    columns = [[float(cell) for cell in col] for col in zip(*rows)]
+    assert columns == [  # exact re-parse
+        list(range(len(tr))),
+        tr.objective,
+        tr.fit_term,
+        tr.scatter_term,
+        tr.regularizer_pow_p,
+    ]
+    obj = columns[1]
     assert all(b >= a - 1e-8 * (1 + abs(a)) for a, b in zip(obj, obj[1:]))
     assert len(obj) == result.iterations + 1
 
@@ -247,6 +253,15 @@ def test_select_beyond_feature_count_is_usage_error_before_solving(
     )
     assert code == 2
     assert "--select 50 exceeds feature count 8" in capsys.readouterr().err
+
+
+def test_parser_dests_are_the_spec_fields():
+    # `main` builds the spec from every parsed argument by keyword.
+    args = build_parser().parse_args(
+        ["--synthetic", BLOBS, "--clusters", "3", "--out", "o"]
+    )
+    fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+    assert set(vars(args)) == fields
 
 
 def test_grid_flag_without_value_uses_default_grid():

@@ -5,7 +5,7 @@ import pytest
 
 from ufcm.kmeans import (
     IndicatorMatrix,
-    assign,
+    _repair_empty,
     centroids,
     run_kmeans,
     update_u_with_candidates,
@@ -18,19 +18,6 @@ def fit_of(y, centers, labels):
         float(np.sum((y[:, j] - centers[:, labels[j]]) ** 2))
         for j in range(y.shape[1])
     )
-
-
-def exhaustive_min_fit_given_centers(y, centers):
-    """Minimum fit over every one-hot assignment, centers held fixed.
-
-    Materializes the full c^n tensor of totals via repeated outer sums, so
-    every assignment really is enumerated.
-    """
-    d2 = ((y[:, :, None] - centers[:, None, :]) ** 2).sum(axis=0)  # (n, c)
-    total = d2[0]
-    for j in range(1, d2.shape[0]):
-        total = np.add.outer(total, d2[j])
-    return float(total.min())
 
 
 def exhaustive_min_fit_induced(y, c):
@@ -48,41 +35,12 @@ def exhaustive_min_fit_induced(y, c):
     return best
 
 
-def test_assign_nearest_center():
-    y = np.array([[0.0, 10.0]])
-    g = np.array([[1.0, 9.0]])
-    assert assign(y, g).assignments.tolist() == [0, 1]
-
-
-def test_assign_tie_goes_to_lowest_index():
-    y = np.array([[0.0, 1.0]])
-    g = np.array([[-1.0, 1.0]])  # sample 0 equidistant from both centers
-    assert assign(y, g).assignments.tolist() == [0, 1]
-
-
-def test_assign_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        assign(np.zeros((2, 4)), np.zeros((3, 2)))
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_assign_is_exhaustively_optimal(seed):
-    rng = np.random.default_rng(seed)
-    n, c = 12, 3
-    y = rng.normal(size=(2, n))
-    centers = y[:, rng.choice(n, size=c, replace=False)]  # no empties
-    ind = assign(y, centers)
-    got = fit_of(y, centers, ind.assignments)
-    assert got <= exhaustive_min_fit_given_centers(y, centers) + 1e-10
-
-
 def test_assign_repairs_empty_cluster():
-    y = np.array([[0.0, 0.1, 0.2, 5.0]])
-    g = np.array([[0.0, 100.0]])  # nobody picks center 1
-    ind = assign(y, g)
-    assert ind.counts().min() >= 1
+    yt = np.array([[0.0], [0.1], [0.2], [5.0]])  # samples as rows
+    center_rows = np.array([[0.0], [100.0]])  # nobody picks center 1
+    labels = _repair_empty(yt, np.zeros(4, dtype=np.int64), center_rows, 2)
     # the donor's farthest member (sample 3) moved
-    assert ind.assignments.tolist() == [0, 0, 0, 1]
+    assert labels.tolist() == [0, 0, 0, 1]
 
 
 def test_centroids_permutation_indicator(rng):
@@ -109,7 +67,7 @@ def test_centroids_matches_mean_loop_and_closed_form(rng):
         members = [j for j in range(15) if labels[j] == k]
         mean = sum(y[:, j] for j in members) / len(members)
         assert np.abs(g[:, k] - mean).max() < 1e-10
-    u = ind.dense()
+    u = np.eye(3)[labels]
     closed = y @ u @ np.linalg.inv(u.T @ u)
     assert np.abs(g - closed).max() < 1e-10
 

@@ -3,100 +3,12 @@ import pytest
 import scipy.linalg
 
 from conftest import random_orthonormal
-from ufcm.linalg import (
-    labeled_scatters,
-    pca_init,
-    sym_eig_top,
-    total_scatter,
-)
-
-
-def naive_scatter(x, mean):
-    """Triple-loop sum of outer products, the oracle for the fast paths."""
-    d, n = x.shape
-    s = np.zeros((d, d))
-    for j in range(n):
-        diff = x[:, j] - mean
-        for a in range(d):
-            for b in range(d):
-                s[a, b] += diff[a] * diff[b]
-    return s
+from ufcm.linalg import sym_eig_top
 
 
 def centered(rng, d, n):
     x = rng.normal(size=(d, n))
     return x - x.mean(axis=1, keepdims=True)
-
-
-def test_total_scatter_two_points():
-    s = total_scatter(np.array([[1.0, -1.0], [0.0, 0.0]]))
-    assert np.array_equal(s, [[2.0, 0.0], [0.0, 0.0]])
-
-
-def test_total_scatter_symmetric_psd(rng):
-    s = total_scatter(centered(rng, 5, 12))
-    assert np.allclose(s, s.T)
-    assert np.linalg.eigvalsh(s).min() >= -1e-8 * np.linalg.eigvalsh(s).max()
-
-
-def test_total_scatter_matches_naive_sum(rng):
-    x = centered(rng, 4, 30)
-    s = total_scatter(x)
-    expected = naive_scatter(x, x.mean(axis=1))
-    assert np.abs(s - expected).max() < 1e-10
-
-
-def test_total_scatter_rejects_uncentered():
-    with pytest.raises(ValueError, match="not centered"):
-        total_scatter(np.array([[1.0, 2.0], [3.0, 4.0]]))
-
-
-def test_labeled_scatters_single_class(rng):
-    x = rng.normal(size=(3, 8))
-    ss = labeled_scatters(x, np.zeros(8, dtype=int))
-    assert np.abs(ss.s_b).max() < 1e-12
-    assert np.allclose(ss.s_w, ss.s_t)
-
-
-def test_labeled_scatters_singleton_classes(rng):
-    x = rng.normal(size=(3, 6))
-    ss = labeled_scatters(x, np.arange(6))
-    assert np.abs(ss.s_w).max() < 1e-12
-    assert np.allclose(ss.s_b, ss.s_t)
-
-
-def test_labeled_scatters_decomposition_and_oracle(rng):
-    d, n = 4, 30
-    labels = rng.integers(0, 3, size=n)
-    labels[:3] = [0, 1, 2]  # every class non-empty
-    x = rng.normal(size=(d, n)) + 3.0 * labels
-    ss = labeled_scatters(x, labels)
-
-    gap = np.linalg.norm(ss.s_w + ss.s_b - ss.s_t)
-    assert gap / np.linalg.norm(ss.s_t) < 1e-10
-
-    mean = x.mean(axis=1)
-    assert np.abs(ss.s_t - naive_scatter(x, mean)).max() < 1e-10
-    s_w = np.zeros((d, d))
-    s_b = np.zeros((d, d))
-    for k in range(3):
-        block = x[:, labels == k]
-        mk = block.mean(axis=1)
-        s_w += naive_scatter(block, mk)
-        diff = mk - mean
-        s_b += block.shape[1] * np.outer(diff, diff)
-    assert np.abs(ss.s_w - s_w).max() < 1e-10
-    assert np.abs(ss.s_b - s_b).max() < 1e-10
-
-
-def test_labeled_scatters_requires_labels(rng):
-    with pytest.raises(ValueError):
-        labeled_scatters(rng.normal(size=(2, 4)), None)
-
-
-def test_labeled_scatters_empty_class(rng):
-    with pytest.raises(ValueError, match="empty class"):
-        labeled_scatters(rng.normal(size=(2, 4)), np.array([0, 0, 2, 2]))
 
 
 def test_sym_eig_top_identity():
@@ -129,11 +41,6 @@ def test_sym_eig_top_residual_orthonormal_and_trace(rng):
     assert np.allclose(pairs.values, ref[:3], atol=1e-10)
 
 
-def test_sym_eig_top_rejects_asymmetric():
-    with pytest.raises(ValueError, match="not symmetric"):
-        sym_eig_top(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
-
-
 def test_sym_eig_top_k_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         sym_eig_top(np.eye(2), 3)
@@ -150,17 +57,20 @@ def test_eigenbasis_trace_maximal_over_random_bases(rng):
         assert best >= np.trace(q.T @ a @ q) - 1e-6
 
 
+# The solver's PCA init: the top eigenvectors of the total scatter X X^T.
+
+
 def test_pca_init_rank_one_direction():
     x = np.zeros((3, 4))
     x[0] = [2.0, -2.0, 1.0, -1.0]  # variance only along feature 0
-    w = pca_init(x, 1)
+    w = sym_eig_top(x @ x.T, 1).vectors
     assert np.allclose(np.abs(w[:, 0]), [1.0, 0.0, 0.0], atol=1e-12)
     assert w[0, 0] > 0
 
 
 def test_pca_init_full_basis_is_orthogonal(rng):
     x = centered(rng, 4, 20)
-    w = pca_init(x, 4)
+    w = sym_eig_top(x @ x.T, 4).vectors
     assert np.linalg.norm(w.T @ w - np.eye(4)) < 1e-10
 
 
@@ -168,12 +78,7 @@ def test_pca_init_variance_ordering(rng):
     x = centered(rng, 10, 60)
     x[0] *= 5.0  # dominant direction
     x -= x.mean(axis=1, keepdims=True)
-    w = pca_init(x, 2)
+    w = sym_eig_top(x @ x.T, 2).vectors
     proj = w.T @ x
     var = [float(np.var(proj[j], ddof=1)) for j in range(2)]
     assert var[0] >= var[1]
-
-
-def test_pca_init_d_prime_range(rng):
-    with pytest.raises(ValueError):
-        pca_init(centered(rng, 3, 5), 4)

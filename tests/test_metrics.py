@@ -16,7 +16,6 @@ from ufcm.metrics import (
     accuracy,
     contingency,
     evaluate_clustering,
-    l2p_norm,
     max_variance_ranking,
     nmi,
     rank_features,
@@ -63,41 +62,6 @@ def nmi_by_formula(pred, truth):
     if den_l == 0.0 or den_h == 0.0:
         return 1.0 if len(preds) == len(truths) == 1 else 0.0
     return num / math.sqrt(den_l * den_h)
-
-
-def test_l2p_identity_p1():
-    assert l2p_norm(np.eye(2), 1.0) == pytest.approx(2.0)
-
-
-def test_l2p_p2_is_frobenius(rng):
-    m = rng.normal(size=(4, 3))
-    assert l2p_norm(m, 2.0) == pytest.approx(np.linalg.norm(m), rel=1e-12)
-
-
-def test_l2p_matches_double_loop(rng):
-    m = rng.normal(size=(3, 4))
-    p = 0.5
-    total = 0.0
-    for i in range(3):
-        row_sq = 0.0
-        for j in range(4):
-            row_sq += m[i, j] ** 2
-        total += row_sq ** (p / 2)
-    assert l2p_norm(m, p) == pytest.approx(total ** (1 / p), abs=1e-12)
-
-
-def test_l2p_rejects_nonpositive_p():
-    with pytest.raises(ValueError):
-        l2p_norm(np.eye(2), 0.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.floats(-100.0, 100.0))
-def test_l2p_absolute_homogeneity(scale):
-    m = np.array([[1.0, -2.0], [0.5, 0.25], [0.0, 3.0]])
-    assert l2p_norm(scale * m, 0.7) == pytest.approx(
-        abs(scale) * l2p_norm(m, 0.7), abs=1e-9
-    )
 
 
 def test_rank_features_scores_and_order():
@@ -317,7 +281,7 @@ def test_evaluate_clustering_single_run_zero_std():
 
 def test_evaluate_clustering_informative_subset_scores_high():
     data = make_blobs(50, 3, 5, 45, separation=5.0, noise_scale=1.0, seed=1)
-    centered, _ = center(data)
+    centered = center(data)
     stats = evaluate_clustering(centered, m=5, c=3, runs=5, seed=7)
     assert stats.acc_mean >= 0.95
 
