@@ -83,6 +83,31 @@ class ExperimentSpec:
             raise UsageError("--eval-runs must be >= 1")
         if self.jobs < 1:
             raise UsageError("--jobs must be >= 1")
+        try:
+            self.solver_configs()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+
+    def solver_configs(self) -> list[SolverConfig]:
+        """One solver configuration per (alpha, beta, p) grid point."""
+        return [
+            SolverConfig(
+                alpha=alpha,
+                beta=beta,
+                p=p,
+                c=self.clusters,
+                d_prime=self.dim,
+                r=self.restarts,
+                max_iter=self.max_iter,
+                tol=self.tol,
+                seed=self.seed,
+            )
+            for alpha, beta, p in itertools.product(
+                self.grid_alpha or [self.alpha],
+                self.grid_beta or [self.beta],
+                self.grid_p or [self.p],
+            )
+        ]
 
 
 def _parse_synthetic(text: str, seed: int) -> DataMatrix:
@@ -166,19 +191,8 @@ def emit_trace(result: SolverResult, path) -> None:
 
 def _run_grid_point(task) -> list[dict]:
     """Solve one (alpha, beta, p) point and write its record and trace."""
-    data, spec, source, gi, (alpha, beta, p) = task
+    data, spec, source, gi, cfg = task
     out = Path(spec.out)
-    cfg = SolverConfig(
-        alpha=alpha,
-        beta=beta,
-        p=p,
-        c=spec.clusters,
-        d_prime=spec.dim,
-        r=spec.restarts,
-        max_iter=spec.max_iter,
-        tol=spec.tol,
-        seed=spec.seed,
-    )
     t0 = time.perf_counter()
     result = solve(data.values, cfg)
     solve_s = time.perf_counter() - t0
@@ -245,9 +259,9 @@ def _run_grid_point(task) -> list[dict]:
         rows.append(
             {
                 "grid_index": gi,
-                "alpha": alpha,
-                "beta": beta,
-                "p": p,
+                "alpha": cfg.alpha,
+                "beta": cfg.beta,
+                "p": cfg.p,
                 "m": m,
                 "acc_mean": stats.get("acc_mean", ""),
                 "acc_std": stats.get("acc_std", ""),
@@ -291,16 +305,21 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
         raise UsageError(
             f"--select {max(spec.select_counts)} exceeds feature count {raw.d}"
         )
+    d_prime = spec.dim if spec.dim is not None else spec.clusters
+    if d_prime > raw.d:
+        raise UsageError(
+            f"--dim {d_prime} (default: --clusters) exceeds feature count {raw.d}"
+        )
+    if spec.clusters > raw.n:
+        raise UsageError(
+            f"--clusters {spec.clusters} exceeds sample count {raw.n}"
+        )
     data = _prepare(raw, spec.scale)
 
-    points = list(
-        itertools.product(
-            spec.grid_alpha or [spec.alpha],
-            spec.grid_beta or [spec.beta],
-            spec.grid_p or [spec.p],
-        )
-    )
-    tasks = [(data, spec, source, gi, pt) for gi, pt in enumerate(points)]
+    tasks = [
+        (data, spec, source, gi, cfg)
+        for gi, cfg in enumerate(spec.solver_configs())
+    ]
 
     if spec.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:

@@ -148,10 +148,11 @@ def build_m(
 ) -> np.ndarray:
     """Assemble the symmetric matrix whose top eigenvectors give W.
 
-    M = S_t + alpha X U (U^T U)^{-1} U^T X^T - alpha X X^T - beta D,
-    symmetrized. For centered input S_t = X X^T (passed as `gram` when
-    already computed). The projector term reduces to the weighted outer
-    products of cluster sums: sum_k s_k s_k^T / n_k.
+    M = S_t + alpha X U (U^T U)^{-1} U^T X^T - alpha X X^T - beta D.
+    For centered input S_t = X X^T (passed as `gram` when already computed).
+    The projector term reduces to the weighted outer products of cluster
+    sums: sum_k s_k s_k^T / n_k. Both products are one symmetric BLAS update
+    each, so M is exactly symmetric without a final (M + M^T) / 2.
     """
     x = np.asarray(x, dtype=np.float64)
     if gram is None:
@@ -162,9 +163,12 @@ def build_m(
         raise ValueError("empty cluster")
     sums, _ = _kernels.centroid_sums(x.T, u.assignments, u.n_clusters)
     scaled = sums.T / np.sqrt(counts)          # (d, c)
-    m = (1.0 - cfg.alpha) * gram + cfg.alpha * (scaled @ scaled.T)
+    m = np.multiply(gram, 1.0 - cfg.alpha)
+    proj = scaled @ scaled.T
+    proj *= cfg.alpha
+    m += proj
     m[np.diag_indices_from(m)] -= cfg.beta * np.asarray(d_diag)
-    return (m + m.T) / 2.0
+    return m
 
 
 def update_w(m: np.ndarray, d_prime: int) -> np.ndarray:

@@ -1,3 +1,7 @@
+from pathlib import Path
+
+import pytest
+
 import ufcm
 import ufcm.cli
 
@@ -31,3 +35,14 @@ def test_deleted_helpers_are_gone():
     # Solver internals, still in their modules but not exported.
     assert "sym_eig_top" not in ufcm.__all__
     assert "EigenPairs" not in ufcm.__all__
+
+
+def test_runtime_depends_on_numpy_alone():
+    # scipy is a test-only dependency: the tests use it as an oracle.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert [dep.split(">=")[0] for dep in project["dependencies"]] == ["numpy"]
+    assert any(
+        dep.startswith("scipy") for dep in project["optional-dependencies"]["test"]
+    )

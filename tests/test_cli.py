@@ -255,6 +255,47 @@ def test_select_beyond_feature_count_is_usage_error_before_solving(
     assert "--select 50 exceeds feature count 8" in capsys.readouterr().err
 
 
+DIM_TOO_BIG = "--dim 9 (default: --clusters) exceeds feature count 8"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        pytest.param(["--clusters", "0"], "c must be >= 1", id="clusters"),
+        pytest.param(["--alpha", "-1"], "alpha must be > 0", id="alpha"),
+        pytest.param(["--p", "3"], "p must lie in (0, 2)", id="p"),
+        pytest.param(["--tol", "0"], "tol must be > 0", id="tol"),
+        pytest.param(["--dim", "0"], "d_prime must be >= 1", id="dim"),
+        pytest.param(["--restarts", "-1"], "r must be >= 0", id="restarts"),
+        pytest.param(
+            ["--max-iter", "0"], "max_iter must be >= 1", id="max-iter"
+        ),
+        pytest.param(
+            ["--grid-p", "0.5,3"], "p must lie in (0, 2)", id="grid-p"
+        ),
+        pytest.param(["--dim", "9"], DIM_TOO_BIG, id="dim-over-d"),
+        pytest.param(["--clusters", "9"], DIM_TOO_BIG, id="clusters-over-d"),
+        pytest.param(
+            ["--clusters", "46", "--dim", "2"],
+            "--clusters 46 exceeds sample count 45",
+            id="clusters-over-n",
+        ),
+    ],
+)
+def test_bad_solver_settings_are_usage_errors_before_solving(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    def no_solve(*args):
+        raise AssertionError("solve ran")
+
+    monkeypatch.setattr("ufcm.cli.solve", no_solve)
+    out = tmp_path / "out"
+    argv = ["--synthetic", BLOBS, "--clusters", "3", *flags, "--out", str(out)]
+    assert main(argv) == 2  # BLOBS: 8 features, 45 samples
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("record_gp*.json"))
+
+
 def test_parser_dests_are_the_spec_fields():
     # `main` builds the spec from every parsed argument by keyword.
     args = build_parser().parse_args(

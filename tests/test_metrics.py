@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -131,14 +132,45 @@ def test_accuracy_spec_example():
 
 
 def test_accuracy_matches_brute_force_100_pairs():
+    # Rectangular tables up to 6 x 6. Labels are drawn from a sparse set of
+    # values, so some clusters and classes are absent from a sample; every
+    # tenth pair is an all-tie table where each (cluster, class) pair occurs
+    # equally often.
     rng = np.random.default_rng(17)
-    for _ in range(100):
-        n = int(rng.integers(2, 9))
-        pred = rng.integers(0, 3, size=n).tolist()
-        truth = rng.integers(0, 3, size=n).tolist()
+    for trial in range(100):
+        c_pred, c_true = (int(k) for k in rng.integers(1, 7, size=2))
+        if trial % 10 == 0:
+            reps = int(rng.integers(1, 3))
+            pred = np.repeat(np.arange(c_pred), c_true * reps).tolist()
+            truth = np.tile(np.arange(c_true), c_pred * reps).tolist()
+        else:
+            n = int(rng.integers(2, 25))
+            pred_values = rng.choice(10, size=c_pred, replace=False)
+            truth_values = rng.choice(10, size=c_true, replace=False)
+            pred = pred_values[rng.integers(0, c_pred, size=n)].tolist()
+            truth = truth_values[rng.integers(0, c_true, size=n)].tolist()
         assert accuracy(pred, truth) == pytest.approx(
             brute_force_accuracy(pred, truth), abs=1e-15
         )
+
+
+def test_accuracy_matches_linear_sum_assignment():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(29)
+    for trial in range(200):
+        c = int(rng.integers(1, 41))
+        n = int(rng.integers(1, 500))
+        truth = rng.integers(0, c, size=n)
+        if trial % 2:
+            # clustering-like: a relabeled truth with a share of samples moved
+            pred = rng.permutation(c)[truth]
+            moved = rng.random(n) < rng.uniform(0.0, 0.8)
+            pred[moved] = rng.integers(0, c, size=int(moved.sum()))
+        else:
+            pred = rng.integers(0, int(rng.integers(1, 41)), size=n)
+        counts = contingency(pred, truth).counts
+        rows, cols = optimize.linear_sum_assignment(counts, maximize=True)
+        assert accuracy(pred, truth) == counts[rows, cols].sum() / n
 
 
 def test_accuracy_length_mismatch():
@@ -151,13 +183,12 @@ def test_accuracy_empty():
         accuracy([], [])
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # accuracy() imports linear_sum_assignment when first called, so a bare
-    # `import ufcm` does not pay for scipy.optimize. No other scipy module
-    # loads either: each costs import time and resident memory on every run.
+def scipy_modules_after(code: str) -> str:
+    """Run `code` in a fresh interpreter with ufcm importable and return the
+    sorted list of scipy modules loaded afterwards, as printed."""
     env = dict(os.environ, PYTHONPATH=str(Path(ufcm.__file__).parents[1]))
     probe = (
-        "import sys, ufcm; "
+        f"import sys; {code}; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
@@ -168,7 +199,32 @@ def test_import_leaves_scipy_optimize_unloaded():
         timeout=60,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # No scipy module loads with `import ufcm`: each costs import time and
+    # resident memory on every run.
+    assert scipy_modules_after("import ufcm") == "[]"
+
+
+def test_labelled_cli_run_loads_no_scipy(tmp_path):
+    # The evaluation's accuracy matching is numpy-only, so a full labelled
+    # run, K-means scoring included, loads no scipy module either.
+    argv = [
+        "--synthetic",
+        "blobs:n_per_cluster=10,c=3,d_informative=3,d_noise=4,"
+        "separation=4.0,noise_scale=1.0",
+        "--clusters", "3",
+        "--select", "3,7",
+        "--max-iter", "3",
+        "--eval-runs", "2",
+        "--out", str(tmp_path / "out"),
+    ]
+    code = f"from ufcm.cli import main; assert main({argv!r}) == 0"
+    assert scipy_modules_after(code) == "[]"
+    record = json.loads((tmp_path / "out" / "record_gp000.json").read_text())
+    assert set(record["evaluation"]) == {"3", "7"}
 
 
 def test_nmi_identity_is_one():
