@@ -242,6 +242,11 @@ def _run_grid_point(task) -> list[dict]:
             "rel_change": [
                 None if not np.isfinite(v) else v for v in tr.rel_change
             ],
+            "eig_path": tr.eig_path,
+            "eig_steps": tr.eig_steps,
+            "eig_residual": [
+                None if not np.isfinite(v) else v for v in tr.eig_residual
+            ],
         },
         "eval_runs": spec.eval_runs,
         "selected": selected,

@@ -13,6 +13,30 @@ The tracked regularizer is the p-th power of the row-norm aggregate (the
 form whose quadratic surrogate the reweighting diagonal majorizes); the
 trace field name `regularizer_pow_p` records the convention.
 
+The W step has two paths, chosen by the shape of the (d, n) input:
+
+- dense (d <= n, or d < KRYLOV_MIN_D): `build_m` forms the d x d matrix M
+  and `sym_eig_top` decomposes it in full. The PCA init decomposes X X^T.
+- matrix-free (d > n and d >= KRYLOV_MIN_D): `build_m` returns an
+  `MOperator`, which applies M = (1 - alpha) X X^T + alpha S S^T - beta D to
+  thin blocks through the (d, n) data and the (d, c) scaled cluster sums S,
+  and `update_w` takes the top d' Ritz pairs from a block Krylov basis
+  warm-started at the previous W (`linalg.block_krylov_top`). No d x d
+  array exists on this path unless the Krylov loop stops short of its
+  tolerance (step cap, or the basis would fill R^d); W then comes from the
+  dense path instead, recorded as "krylov-fallback". The PCA init takes the
+  top left singular vectors of X (thin SVD), or the dense X X^T when d' > n
+  asks for more vectors than the thin SVD has.
+
+The previous W lies in the Krylov basis, so the Ritz W has Tr(W^T M W) >=
+Tr(W_prev^T M W_prev) wherever the loop stops: the W step stays an ascent
+step and the objective stays monotone whatever the tolerance. The Ritz
+vectors match the dense eigenvectors to the Krylov tolerance, not to
+round-off (subspaces within about 1e-9 on blob inputs), so for d > n the
+results differ slightly from the dense path's on the same input, which
+is what earlier versions always took. Each path is bit-reproducible on its
+own.
+
 Input X must be centered (features-by-samples); use `dataset.center` first.
 Labels never enter: `solve` takes a bare ndarray.
 """
@@ -30,7 +54,19 @@ from .kmeans import (
     run_kmeans,
     update_u_with_candidates,
 )
-from .linalg import require_centered, sym_eig_top
+from .linalg import (
+    block_krylov_top,
+    gram_eig_top,
+    require_centered,
+    sym_eig_top,
+)
+
+# Smallest feature count that takes the matrix-free W step (with d > n).
+# Below it a full eigh takes a few milliseconds and the Krylov loop's
+# per-step overhead does not pay: on 2 vCPUs (OpenBLAS), four-iteration
+# solves of blobs broke even at d = 256-300 for n <= d / 2 and ran twice
+# as fast on the Krylov path at d = 400, n = 80.
+KRYLOV_MIN_D = 300
 
 
 @dataclass
@@ -80,6 +116,10 @@ class SolverTrace:
     assignment_changes: list[int] = field(default_factory=list)
     w_orth_error: list[float] = field(default_factory=list)
     rel_change: list[float] = field(default_factory=list)
+    # How the state's W was computed (see `WStep`).
+    eig_path: list[str] = field(default_factory=list)
+    eig_steps: list[int] = field(default_factory=list)
+    eig_residual: list[float] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.objective)
@@ -93,6 +133,64 @@ class SolverResult:
     trace: SolverTrace
     converged: bool
     iterations: int
+
+
+@dataclass
+class WStep:
+    """A W update and what the eigensolver did for it.
+
+    path is "dense" (a direct LAPACK decomposition: `eigh` of M or X X^T,
+    or the thin SVD of X), "krylov" (Ritz vectors of the block Krylov
+    basis) or "krylov-fallback" (the Krylov loop stopped short of its
+    tolerance and W came from the dense path). steps counts Krylov block
+    steps, those of an abandoned Krylov loop included; residual is the
+    relative eigen-residual of the returned W (see `linalg.EigenPairs`).
+    """
+
+    w: np.ndarray  # (d, d'), orthonormal columns
+    path: str
+    steps: int
+    residual: float
+
+
+@dataclass(frozen=True)
+class MOperator:
+    """M = (1 - alpha) X X^T + alpha S S^T - beta D as a product, unformed.
+
+    S is the (d, c) matrix of cluster sums over sqrt(cluster size), so
+    S S^T = X U (U^T U)^{-1} U^T X^T. Applying M to a (d, b) block costs
+    O(d (n + c) b); `dense` forms the d x d matrix for the fallback.
+    """
+
+    x: np.ndarray       # (d, n), centered
+    scaled: np.ndarray  # (d, c)
+    d_diag: np.ndarray  # (d,)
+    alpha: float
+    beta: float
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        out = self.x @ (self.x.T @ v)
+        out *= 1.0 - self.alpha
+        out += self.alpha * (self.scaled @ (self.scaled.T @ v))
+        out -= (self.beta * self.d_diag)[:, None] * v
+        return out
+
+    def dense(self, gram: np.ndarray | None = None) -> np.ndarray:
+        """M as an exactly symmetric d x d array; `gram` is X X^T if
+        already computed. Each product is one symmetric BLAS update."""
+        if gram is None:
+            gram = self.x @ self.x.T
+        m = np.multiply(gram, 1.0 - self.alpha)
+        proj = self.scaled @ self.scaled.T
+        proj *= self.alpha
+        m += proj
+        m[np.diag_indices_from(m)] -= self.beta * self.d_diag
+        return m
+
+
+def _matrix_free(d: int, n: int) -> bool:
+    """The W-step switch rule: matrix-free when d > n and d is large."""
+    return d > n and d >= KRYLOV_MIN_D
 
 
 def compute_d(w: np.ndarray, p: float, eps_row: float) -> np.ndarray:
@@ -145,39 +243,65 @@ def build_m(
     d_diag: np.ndarray,
     cfg: SolverConfig,
     gram: np.ndarray | None = None,
-) -> np.ndarray:
+) -> np.ndarray | MOperator:
     """Assemble the symmetric matrix whose top eigenvectors give W.
 
     M = S_t + alpha X U (U^T U)^{-1} U^T X^T - alpha X X^T - beta D.
     For centered input S_t = X X^T (passed as `gram` when already computed).
     The projector term reduces to the weighted outer products of cluster
-    sums: sum_k s_k s_k^T / n_k. Both products are one symmetric BLAS update
-    each, so M is exactly symmetric without a final (M + M^T) / 2.
+    sums: sum_k s_k s_k^T / n_k, i.e. S S^T with S the (d, c) scaled sums.
+
+    Returns the dense d x d array, exactly symmetric, when `gram` is given
+    or the shape takes the dense path. Without `gram`, when d > n and
+    d >= KRYLOV_MIN_D, returns the `MOperator` instead: only S is built, and
+    no d x d array is formed.
     """
     x = np.asarray(x, dtype=np.float64)
     if gram is None:
         require_centered(x)
-        gram = x @ x.T
     counts = u.counts()
     if np.any(counts == 0):
         raise ValueError("empty cluster")
     sums, _ = _kernels.centroid_sums(x.T, u.assignments, u.n_clusters)
     scaled = sums.T / np.sqrt(counts)          # (d, c)
-    m = np.multiply(gram, 1.0 - cfg.alpha)
-    proj = scaled @ scaled.T
-    proj *= cfg.alpha
-    m += proj
-    m[np.diag_indices_from(m)] -= cfg.beta * np.asarray(d_diag)
-    return m
+    op = MOperator(x, scaled, np.asarray(d_diag), cfg.alpha, cfg.beta)
+    if gram is None and _matrix_free(*x.shape):
+        return op
+    return op.dense(gram)
 
 
-def update_w(m: np.ndarray, d_prime: int) -> np.ndarray:
+def update_w(
+    m: np.ndarray | MOperator, d_prime: int, start: np.ndarray | None = None
+) -> WStep:
     """Top-d' eigenvectors of M: the trace-optimal orthonormal W.
 
-    M must be exactly symmetric, as `build_m` returns it; only its lower
-    triangle is read.
+    A dense M must be exactly symmetric, as `build_m` returns it; only its
+    lower triangle is read. An `MOperator` needs `start`, the previous W:
+    the block Krylov loop is warm-started there, so its Ritz W never has a
+    smaller Tr(W^T M W) than `start`. If the loop stops short of its
+    tolerance, M is formed and decomposed in full ("krylov-fallback").
     """
-    return sym_eig_top(m, d_prime).vectors
+    if isinstance(m, MOperator):
+        if start is None or start.shape[1] != d_prime:
+            raise ValueError("the matrix-free W step needs a (d, d') start")
+        ritz = block_krylov_top(m.__matmul__, start)
+        if ritz.converged:
+            return WStep(ritz.vectors, "krylov", ritz.steps, ritz.residual)
+        pairs = sym_eig_top(m.dense(), d_prime)
+        return WStep(
+            pairs.vectors, "krylov-fallback", ritz.steps, pairs.residual
+        )
+    pairs = sym_eig_top(m, d_prime)
+    return WStep(pairs.vectors, "dense", 0, pairs.residual)
+
+
+def _pca_init(x: np.ndarray, gram: np.ndarray | None, d_prime: int) -> WStep:
+    """Top-d' eigenvectors of S_t = X X^T: from `gram` when given, else
+    from the thin SVD of X (or, when d' > n, from X X^T formed here)."""
+    if gram is None and d_prime <= x.shape[1]:
+        pairs = gram_eig_top(x, d_prime)
+        return WStep(pairs.vectors, "dense", 0, pairs.residual)
+    return update_w(x @ x.T if gram is None else gram, d_prime)
 
 
 def update_g(y: np.ndarray, u: IndicatorMatrix) -> np.ndarray:
@@ -192,7 +316,8 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
     Initialization: W from PCA on X, U from one K-means run on W^T X, G from
     the centroid closed form. Each subsequent iteration recomputes the
     reweighting diagonal, refreshes U against r restarted candidates, takes W
-    from the eigendecomposition, and updates G. Stops when the relative
+    from the top eigenvectors of M (dense or matrix-free by the shape; see
+    the module docstring), and updates G. Stops when the relative
     objective change |J_i - J_{i-1}| / (1 + |J_{i-1}|) drops below cfg.tol,
     or after cfg.max_iter iterations (converged=False, trace still full).
 
@@ -209,10 +334,11 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
     if cfg.c > n:
         raise ValueError(f"c={cfg.c} exceeds sample count {n}")
 
-    gram = x @ x.T
+    gram = None if _matrix_free(d, n) else x @ x.T
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.max_iter + 1)
 
-    w = update_w(gram, d_prime)  # PCA init: top eigenvectors of S_t
+    step = _pca_init(x, gram, d_prime)
+    w = step.w
     y = w.T @ x  # shared by the terms, the G update and the next U update
     km = run_kmeans(y, cfg.c, int(seeds[0]))
     u, g = km.indicator, km.centers
@@ -233,6 +359,9 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
             float(np.linalg.norm(w.T @ w - np.eye(d_prime)))
         )
         trace.rel_change.append(rel)
+        trace.eig_path.append(step.path)
+        trace.eig_steps.append(step.steps)
+        trace.eig_residual.append(step.residual)
         return rel
 
     record(0)
@@ -246,7 +375,8 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
             np.count_nonzero(km.indicator.assignments != u.assignments)
         )
         u = km.indicator
-        w = update_w(build_m(x, u, d_diag, cfg, gram=gram), d_prime)
+        step = update_w(build_m(x, u, d_diag, cfg, gram=gram), d_prime, w)
+        w = step.w
         y = w.T @ x
         g = update_g(y, u)
         iterations = i

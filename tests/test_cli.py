@@ -62,6 +62,25 @@ def test_single_point_smoke(tmp_path):
     )
 
 
+def test_record_trace_reports_the_eigensolver(tmp_path):
+    # d = 300 features, n = 30 samples: the W steps are matrix-free.
+    wide = (
+        "blobs:n_per_cluster=10,c=3,d_informative=5,d_noise=295,"
+        "separation=4.0,noise_scale=1.0"
+    )
+    out = tmp_path / "out"
+    run_experiment(
+        spec_for(out, synthetic=wide, select_counts=[5], max_iter=3)
+    )
+    record, _ = load_record(out / "record_gp000.json")
+    tr = record["trace"]
+    states = len(tr["objective"])
+    assert tr["eig_path"] == ["dense"] + ["krylov"] * (states - 1)
+    assert tr["eig_steps"][0] == 0
+    assert len(tr["eig_steps"]) == len(tr["eig_residual"]) == states
+    assert max(tr["eig_residual"]) <= 1e-8
+
+
 def test_grid_4x4x3_produces_48_records(tmp_path):
     out = tmp_path / "grid"
     spec = spec_for(

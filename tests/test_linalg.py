@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from conftest import random_orthonormal
-from ufcm.linalg import sym_eig_top
+from ufcm.linalg import gram_eig_top, sym_eig_top
 
 
 def centered(rng, d, n):
@@ -82,3 +82,13 @@ def test_pca_init_variance_ordering(rng):
     proj = w.T @ x
     var = [float(np.var(proj[j], ddof=1)) for j in range(2)]
     assert var[0] >= var[1]
+
+
+def test_gram_eig_top_matches_eigh_of_the_product(rng):
+    # The thin SVD of X gives the top eigenpairs of X X^T, signs included.
+    x = centered(rng, 30, 8)
+    svd = gram_eig_top(x, 5)
+    dense = sym_eig_top(x @ x.T, 5)
+    assert np.allclose(svd.values, dense.values, rtol=1e-12, atol=0)
+    assert np.abs(svd.vectors - dense.vectors).max() <= 1e-10
+    assert svd.residual <= 1e-12

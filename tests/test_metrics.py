@@ -210,7 +210,8 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 def test_labelled_cli_run_loads_no_scipy(tmp_path):
     # The evaluation's accuracy matching is numpy-only, so a full labelled
-    # run, K-means scoring included, loads no scipy module either.
+    # run, K-means scoring included, loads no scipy module either. Nor does
+    # a d > n solve, whose W steps take the numpy block Krylov path.
     argv = [
         "--synthetic",
         "blobs:n_per_cluster=10,c=3,d_informative=3,d_noise=4,"
@@ -221,7 +222,14 @@ def test_labelled_cli_run_loads_no_scipy(tmp_path):
         "--eval-runs", "2",
         "--out", str(tmp_path / "out"),
     ]
-    code = f"from ufcm.cli import main; assert main({argv!r}) == 0"
+    code = (
+        f"from ufcm.cli import main; assert main({argv!r}) == 0; "
+        "import numpy as np; from ufcm import SolverConfig, solve; "
+        "x = np.random.default_rng(0).normal(size=(300, 20)); "
+        "x -= x.mean(axis=1, keepdims=True); "
+        "res = solve(x, SolverConfig(alpha=1, beta=1, p=1, c=3, max_iter=2)); "
+        "assert res.trace.eig_path == ['dense', 'krylov', 'krylov']"
+    )
     assert scipy_modules_after(code) == "[]"
     record = json.loads((tmp_path / "out" / "record_gp000.json").read_text())
     assert set(record["evaluation"]) == {"3", "7"}

@@ -7,6 +7,7 @@ from conftest import random_orthonormal
 from ufcm.dataset import center, make_blobs
 from ufcm.kmeans import IndicatorMatrix
 from ufcm.solver import (
+    KRYLOV_MIN_D,
     SolverConfig,
     build_m,
     compute_d,
@@ -215,7 +216,7 @@ def test_update_w_beats_random_orthonormal(rng):
         k = int(inner.integers(1, d + 1))
         m = inner.normal(size=(d, d))
         m = (m + m.T) / 2
-        w = update_w(m, k)
+        w = update_w(m, k).w
         best = float(np.trace(w.T @ m @ w))
         for _ in range(100):
             q = random_orthonormal(inner, d, k)
@@ -266,6 +267,14 @@ def test_solve_pca_limit():
     assert res.trace.objective[-1] == pytest.approx(
         float(np.trace(x @ x.T)), rel=1e-6
     )
+
+
+def test_trace_reports_the_dense_eigensolve_per_state():
+    # d = 50 < n = 150: every state's W is a full eigh (the PCA init's too).
+    res = solve(blob_values(0), cfg_for(seed=0))
+    assert res.trace.eig_path == ["dense"] * len(res.trace)
+    assert res.trace.eig_steps == [0] * len(res.trace)
+    assert max(res.trace.eig_residual) <= 1e-12
 
 
 def test_solve_deterministic_bit_identical():
@@ -331,11 +340,18 @@ def test_solve_non_convergence_returns_full_trace():
 def small_problems(draw):
     """Centered Gaussian data with a solver config to match.
 
-    p >= 0.5: below it, a zero row of W breaks the monotone objective (see
-    `test_zero_row_of_w_breaks_the_monotone_objective`).
+    About half the draws have d > n with d >= KRYLOV_MIN_D, so their W steps
+    take the matrix-free Krylov path; d' stays small there to keep them
+    quick. p >= 0.5: below it, a zero row of W breaks the monotone objective
+    (see `test_zero_row_of_w_breaks_the_monotone_objective`).
     """
-    d = draw(st.integers(1, 12))
     n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        d = draw(st.integers(KRYLOV_MIN_D, KRYLOV_MIN_D + 64))
+        d_prime_max = 16
+    else:
+        d = draw(st.integers(1, 12))
+        d_prime_max = d
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(scale=draw(st.floats(1e-2, 1e2)), size=(d, n))
     x -= x.mean(axis=1, keepdims=True)
@@ -344,7 +360,7 @@ def small_problems(draw):
         beta=draw(st.floats(0.0, 10.0)),
         p=draw(st.floats(0.5, 1.9)),
         c=draw(st.integers(1, min(4, n))),
-        d_prime=draw(st.integers(1, d)),
+        d_prime=draw(st.integers(1, d_prime_max)),
         r=draw(st.integers(0, 3)),
         max_iter=draw(st.integers(1, 6)),
         seed=draw(st.integers(0, 2**32 - 1)),
