@@ -19,7 +19,6 @@ without forming the product. All three fix eigenvector signs the same way
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ import numpy as np
 KRYLOV_TOL = 1e-11     # relative Ritz residual at which the loop stops
 KRYLOV_MAX_STEPS = 64  # hard cap on block steps
 _ROUNDOFF = 1e-14      # residual floor, as a share of ||T|| (see below)
-_RITZ_GAP = 4          # block steps between the first Rayleigh-Ritz checks
+_RITZ_GAP = 4          # block steps between Rayleigh-Ritz checks
 _DEFLATE = 1e-12       # new directions below this share of the block drop
 
 
@@ -39,7 +38,11 @@ class EigenPairs:
     `residual` is max_j ||A v_j - lambda_j v_j|| / max_j |lambda_j| over
     the k returned pairs (inf if every lambda_j is 0 and A V is not).
     `steps` counts block Krylov steps, 0 for a direct decomposition;
-    `converged` is False when Ritz pairs missed their tolerance.
+    `converged` is False when Ritz pairs missed their tolerance. `path`
+    names the solver: "dense" for a direct LAPACK decomposition, "krylov"
+    for Ritz pairs of `block_krylov_top`, and "krylov-fallback" (set by
+    `solver.update_w`) for a dense decomposition taken after a Krylov loop
+    was abandoned, whose steps are then counted.
     """
 
     values: np.ndarray   # (k,)
@@ -47,6 +50,7 @@ class EigenPairs:
     residual: float
     steps: int = 0
     converged: bool = True
+    path: str = "dense"
 
 
 def require_centered(x: np.ndarray, tol: float = 1e-6) -> None:
@@ -141,9 +145,8 @@ def block_krylov_top(
     norm and appends the rest. At checkpoints a small `eigh` of T gives the
     top-k Ritz pairs; the loop stops once their residual
     max_j ||A w_j - theta_j w_j|| is at most KRYLOV_TOL * max_j |theta_j|,
-    or after `max_steps` steps. Checkpoints sit where the residual's rate
-    so far predicts KRYLOV_TOL (`_steps_to_check`): once the basis is large,
-    an `eigh` of T costs more than a block step.
+    or after `max_steps` steps. Checkpoints come every `_RITZ_GAP` steps:
+    once the basis is large, an `eigh` of T costs more than a block step.
 
     The residual cannot fall below the round-off of `eigh` on T, about
     eps * ||T||. When A has entries far above its top eigenvalues (the
@@ -158,8 +161,13 @@ def block_krylov_top(
 
     `converged` is False when the loop stopped short of the tolerance: at
     `max_steps`, when the next block would give the basis d columns, or
-    when the basis became invariant first. The Ritz pairs are still
-    returned; the caller decides whether to use them.
+    when the basis became invariant first. An invariant basis gives exact
+    eigenpairs, but not necessarily the top k: a start confined to an
+    invariant subspace of A never leaves it. The same holds, undetected,
+    for a start that reaches the tolerance inside such a subspace; only the
+    caller, who knows A, can rule that out (see `solver.update_w`). The
+    Ritz pairs are returned either way; the caller decides whether to use
+    them.
     """
     start = np.asarray(start, dtype=np.float64)
     d, k = start.shape
@@ -173,7 +181,6 @@ def block_krylov_top(
     t = np.empty((cols, cols))
     q[:, :k] = start
     lo, hi, steps = 0, k, 0
-    check, last = 0, None
     while True:
         block = apply(q[:, lo:hi])
         aq[:, lo:hi] = block
@@ -182,13 +189,10 @@ def block_krylov_top(
         t[lo:hi, :hi] = coef.T
         t[lo:hi, lo:hi] = (coef[lo:] + coef[lo:].T) / 2
 
-        ritz = None
-        if steps == check or steps == max_steps:
+        if steps % _RITZ_GAP == 0 or steps == max_steps:
             ritz = _rayleigh_ritz(q[:, :hi], aq[:, :hi], t[:hi, :hi], k)
             if ritz.converged or steps == max_steps:
                 break
-            check = steps + _steps_to_check(last, steps, ritz.residual)
-            last = steps, ritz.residual
 
         norm = np.linalg.norm(block)
         block -= q[:, :hi] @ coef
@@ -196,6 +200,11 @@ def block_krylov_top(
         keep = s > _DEFLATE * norm
         width = int(np.count_nonzero(keep))
         if width == 0 or hi + width >= d:
+            # An invariant basis has round-off residuals whether or not it
+            # holds the top eigenvectors, so its Ritz pairs prove nothing;
+            # a basis of d columns is cheaper to replace by a dense eigh.
+            ritz = _rayleigh_ritz(q[:, :hi], aq[:, :hi], t[:hi, :hi], k)
+            ritz.converged = False
             break
         new = u[:, keep]
         new -= q[:, :hi] @ (q[:, :hi].T @ new)
@@ -203,25 +212,9 @@ def block_krylov_top(
         q[:, lo:hi], _ = np.linalg.qr(new)
         steps += 1
 
-    if ritz is None:
-        ritz = _rayleigh_ritz(q[:, :hi], aq[:, :hi], t[:hi, :hi], k)
     ritz.steps = steps
+    ritz.path = "krylov"
     return ritz
-
-
-def _steps_to_check(last, steps: int, residual: float) -> int:
-    """Block steps from this Rayleigh-Ritz check to the next.
-
-    `last` is the (steps, residual) of the previous check. The residual's
-    geometric rate between the two checks, extrapolated to KRYLOV_TOL,
-    gives the gap, clamped to [1, 2 * _RITZ_GAP]; it is _RITZ_GAP while no
-    falling rate is known.
-    """
-    if last is None or not 0 < residual < last[1]:
-        return _RITZ_GAP
-    rate = math.log(residual / last[1]) / (steps - last[0])
-    ahead = math.ceil(math.log(KRYLOV_TOL / residual) / rate)
-    return min(max(ahead, 1), 2 * _RITZ_GAP)
 
 
 def _rayleigh_ritz(q, aq, t, k: int) -> EigenPairs:

@@ -15,18 +15,24 @@ trace field name `regularizer_pow_p` records the convention.
 
 The W step has two paths, chosen by the shape of the (d, n) input:
 
-- dense (d <= n, or d < KRYLOV_MIN_D): `build_m` forms the d x d matrix M
-  and `sym_eig_top` decomposes it in full. The PCA init decomposes X X^T.
-- matrix-free (d > n and d >= KRYLOV_MIN_D): `build_m` returns an
-  `MOperator`, which applies M = (1 - alpha) X X^T + alpha S S^T - beta D to
-  thin blocks through the (d, n) data and the (d, c) scaled cluster sums S,
-  and `update_w` takes the top d' Ritz pairs from a block Krylov basis
-  warm-started at the previous W (`linalg.block_krylov_top`). No d x d
-  array exists on this path unless the Krylov loop stops short of its
-  tolerance (step cap, or the basis would fill R^d); W then comes from the
-  dense path instead, recorded as "krylov-fallback". The PCA init takes the
-  top left singular vectors of X (thin SVD), or the dense X X^T when d' > n
-  asks for more vectors than the thin SVD has.
+- dense (d <= n): `build_m` forms the d x d matrix M and `sym_eig_top`
+  decomposes it in full. The PCA init decomposes X X^T.
+- matrix-free (d > n): `build_m` returns an `MOperator`, which applies
+  M = (1 - alpha) X X^T + alpha S S^T - beta D to thin blocks through the
+  (d, n) data and the (d, c) scaled cluster sums S, and `update_w` takes
+  the top d' Ritz pairs from a block Krylov basis warm-started at the
+  previous W (`linalg.block_krylov_top`). No d x d array exists on this
+  path unless the Krylov loop stops short of its tolerance (step cap, an
+  invariant basis, or a basis that would fill R^d) or its Ritz values fall
+  below a lower bound on M's top d' eigenvalues (`MOperator.top_floor`);
+  W then comes from the dense path instead, recorded as
+  "krylov-fallback". The PCA init takes the top left singular vectors of
+  X (thin SVD), or the dense X X^T when d' > n asks for more vectors than
+  the thin SVD has.
+
+The switch point d = n is where the d x d problem stops being smaller than
+the data; no benchmark workload has d > n with d near n or d small, where
+a full `eigh` may well be the faster of the two.
 
 The previous W lies in the Krylov basis, so the Ritz W has Tr(W^T M W) >=
 Tr(W_prev^T M W_prev) wherever the loop stops: the W step stays an ascent
@@ -55,19 +61,12 @@ from .kmeans import (
     update_u_with_candidates,
 )
 from .linalg import (
+    EigenPairs,
     block_krylov_top,
     gram_eig_top,
     require_centered,
     sym_eig_top,
 )
-
-# Smallest feature count that takes the matrix-free W step (with d > n).
-# Below it a full eigh takes a few milliseconds and the Krylov loop's
-# per-step overhead does not pay: on 2 vCPUs (OpenBLAS), four-iteration
-# solves of blobs broke even at d = 256-300 for n <= d / 2 and ran twice
-# as fast on the Krylov path at d = 400, n = 80.
-KRYLOV_MIN_D = 300
-
 
 @dataclass
 class SolverConfig:
@@ -116,7 +115,7 @@ class SolverTrace:
     assignment_changes: list[int] = field(default_factory=list)
     w_orth_error: list[float] = field(default_factory=list)
     rel_change: list[float] = field(default_factory=list)
-    # How the state's W was computed (see `WStep`).
+    # How the state's W was computed (see `linalg.EigenPairs`).
     eig_path: list[str] = field(default_factory=list)
     eig_steps: list[int] = field(default_factory=list)
     eig_residual: list[float] = field(default_factory=list)
@@ -133,24 +132,6 @@ class SolverResult:
     trace: SolverTrace
     converged: bool
     iterations: int
-
-
-@dataclass
-class WStep:
-    """A W update and what the eigensolver did for it.
-
-    path is "dense" (a direct LAPACK decomposition: `eigh` of M or X X^T,
-    or the thin SVD of X), "krylov" (Ritz vectors of the block Krylov
-    basis) or "krylov-fallback" (the Krylov loop stopped short of its
-    tolerance and W came from the dense path). steps counts Krylov block
-    steps, those of an abandoned Krylov loop included; residual is the
-    relative eigen-residual of the returned W (see `linalg.EigenPairs`).
-    """
-
-    w: np.ndarray  # (d, d'), orthonormal columns
-    path: str
-    steps: int
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -187,10 +168,26 @@ class MOperator:
         m[np.diag_indices_from(m)] -= self.beta * self.d_diag
         return m
 
+    def top_floor(self, k: int) -> float:
+        """A lower bound on M's k-th largest eigenvalue, -inf if none.
+
+        X has centered rows, so rank(X) <= n - 1 and R^d has a subspace of
+        dimension d - n + 1 orthogonal to X's columns. There z^T M z =
+        -beta z^T D z >= -beta max(D), so by Courant-Fischer the k-th
+        eigenvalue is at least -beta max(D) when k <= d - n + 1. With
+        beta = 0 that bound is 0, which a start inside range(X) misses:
+        M maps range(X) into itself, and for alpha > 1 M has negative
+        eigenvalues there.
+        """
+        d, n = self.x.shape
+        if k > d - n + 1:
+            return -np.inf
+        return -self.beta * float(self.d_diag.max())
+
 
 def _matrix_free(d: int, n: int) -> bool:
-    """The W-step switch rule: matrix-free when d > n and d is large."""
-    return d > n and d >= KRYLOV_MIN_D
+    """The W-step switch rule: matrix-free when d > n."""
+    return d > n
 
 
 def compute_d(w: np.ndarray, p: float, eps_row: float) -> np.ndarray:
@@ -252,9 +249,8 @@ def build_m(
     sums: sum_k s_k s_k^T / n_k, i.e. S S^T with S the (d, c) scaled sums.
 
     Returns the dense d x d array, exactly symmetric, when `gram` is given
-    or the shape takes the dense path. Without `gram`, when d > n and
-    d >= KRYLOV_MIN_D, returns the `MOperator` instead: only S is built, and
-    no d x d array is formed.
+    or d <= n. Without `gram`, when d > n, returns the `MOperator` instead:
+    only S is built, and no d x d array is formed.
     """
     x = np.asarray(x, dtype=np.float64)
     if gram is None:
@@ -272,35 +268,37 @@ def build_m(
 
 def update_w(
     m: np.ndarray | MOperator, d_prime: int, start: np.ndarray | None = None
-) -> WStep:
-    """Top-d' eigenvectors of M: the trace-optimal orthonormal W.
+) -> EigenPairs:
+    """Top-d' eigenpairs of M; the vectors are the trace-optimal W.
 
     A dense M must be exactly symmetric, as `build_m` returns it; only its
     lower triangle is read. An `MOperator` needs `start`, the previous W:
     the block Krylov loop is warm-started there, so its Ritz W never has a
     smaller Tr(W^T M W) than `start`. If the loop stops short of its
-    tolerance, M is formed and decomposed in full ("krylov-fallback").
+    tolerance, or its d'-th Ritz value lies below `MOperator.top_floor` by
+    more than its residual (converged, but not to the top d'), M is formed
+    and decomposed in full ("krylov-fallback").
     """
     if isinstance(m, MOperator):
         if start is None or start.shape[1] != d_prime:
             raise ValueError("the matrix-free W step needs a (d, d') start")
         ritz = block_krylov_top(m.__matmul__, start)
-        if ritz.converged:
-            return WStep(ritz.vectors, "krylov", ritz.steps, ritz.residual)
+        slack = ritz.residual * float(np.abs(ritz.values).max())
+        if ritz.converged and ritz.values[-1] + slack >= m.top_floor(d_prime):
+            return ritz
         pairs = sym_eig_top(m.dense(), d_prime)
-        return WStep(
-            pairs.vectors, "krylov-fallback", ritz.steps, pairs.residual
-        )
-    pairs = sym_eig_top(m, d_prime)
-    return WStep(pairs.vectors, "dense", 0, pairs.residual)
+        pairs.path, pairs.steps = "krylov-fallback", ritz.steps
+        return pairs
+    return sym_eig_top(m, d_prime)
 
 
-def _pca_init(x: np.ndarray, gram: np.ndarray | None, d_prime: int) -> WStep:
-    """Top-d' eigenvectors of S_t = X X^T: from `gram` when given, else
+def _pca_init(
+    x: np.ndarray, gram: np.ndarray | None, d_prime: int
+) -> EigenPairs:
+    """Top-d' eigenpairs of S_t = X X^T: from `gram` when given, else
     from the thin SVD of X (or, when d' > n, from X X^T formed here)."""
     if gram is None and d_prime <= x.shape[1]:
-        pairs = gram_eig_top(x, d_prime)
-        return WStep(pairs.vectors, "dense", 0, pairs.residual)
+        return gram_eig_top(x, d_prime)
     return update_w(x @ x.T if gram is None else gram, d_prime)
 
 
@@ -337,8 +335,8 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
     gram = None if _matrix_free(d, n) else x @ x.T
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.max_iter + 1)
 
-    step = _pca_init(x, gram, d_prime)
-    w = step.w
+    eig = _pca_init(x, gram, d_prime)
+    w = eig.vectors
     y = w.T @ x  # shared by the terms, the G update and the next U update
     km = run_kmeans(y, cfg.c, int(seeds[0]))
     u, g = km.indicator, km.centers
@@ -359,9 +357,9 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
             float(np.linalg.norm(w.T @ w - np.eye(d_prime)))
         )
         trace.rel_change.append(rel)
-        trace.eig_path.append(step.path)
-        trace.eig_steps.append(step.steps)
-        trace.eig_residual.append(step.residual)
+        trace.eig_path.append(eig.path)
+        trace.eig_steps.append(eig.steps)
+        trace.eig_residual.append(eig.residual)
         return rel
 
     record(0)
@@ -375,8 +373,8 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
             np.count_nonzero(km.indicator.assignments != u.assignments)
         )
         u = km.indicator
-        step = update_w(build_m(x, u, d_diag, cfg, gram=gram), d_prime, w)
-        w = step.w
+        eig = update_w(build_m(x, u, d_diag, cfg, gram=gram), d_prime, w)
+        w = eig.vectors
         y = w.T @ x
         g = update_g(y, u)
         iterations = i

@@ -11,12 +11,12 @@ from ufcm.dataset import center, make_blobs
 from ufcm.kmeans import run_kmeans
 from ufcm.linalg import block_krylov_top, gram_eig_top, sym_eig_top
 from ufcm.solver import (
-    KRYLOV_MIN_D,
     MOperator,
     SolverConfig,
     build_m,
     compute_d,
     solve,
+    update_w,
 )
 
 
@@ -86,6 +86,20 @@ def test_one_block_step_never_lowers_the_trace(seed, zero_row):
     assert np.linalg.norm(w.T @ w - np.eye(k)) <= 1e-12
 
 
+def test_invariant_basis_short_of_the_top_is_not_converged():
+    # The start mixes two eigenvectors of a diagonal A, so one block step
+    # spans an invariant plane and the next deflates to nothing. Its Ritz
+    # pair is exact (residual at round-off) but not A's top pair.
+    a = np.diag(np.arange(10.0, 0.0, -1.0))
+    start = np.zeros((10, 1))
+    start[[3, 4], 0] = np.sqrt(0.5)
+    ritz = block_krylov_top(lambda v: a @ v, start)
+    assert ritz.steps == 1
+    assert ritz.values[0] == pytest.approx(7.0)
+    assert ritz.residual <= 1e-14
+    assert not ritz.converged
+
+
 def test_krylov_signs_follow_the_dense_rule():
     op, start = first_w_step(300, 40, 4)
     v = block_krylov_top(op.__matmul__, start).vectors
@@ -114,19 +128,52 @@ def centered_normal(seed, d, n):
 
 @pytest.mark.parametrize("d_prime", [2, 8])
 @pytest.mark.parametrize("alpha", [0.5, 2.0])
-def test_rank_deficient_input_on_the_krylov_path(alpha, d_prime):
-    # rank(X) = 4 and beta = 0: M vanishes off a 4-dim range. At d' = 2 the
-    # basis fills that range within two steps and the next block deflates
-    # to nothing; at d' = 8 > n the start already spans it.
+def test_rank_deficient_w_step_matches_dense_eigh(alpha, d_prime):
+    # rank(X) = 4 and beta = 0: M = X B X^T vanishes off X's 4-dim range
+    # and maps that range into itself, so a Krylov basis started there
+    # stays there. At alpha = 2 M has one positive and three negative
+    # eigenvalues on that range, so its top d' include zeros from outside
+    # it: at d' = 2 the basis turns invariant after one step, and at d' = 8
+    # the start's Ritz pairs converge at once, to the wrong eigenvalues.
     x = centered_normal(0, 300, 5)
-    res = check_solve(
-        x,
-        SolverConfig(
-            alpha=alpha, beta=0.0, p=1.0, c=2, d_prime=d_prime, max_iter=6
-        ),
+    cfg = SolverConfig(
+        alpha=alpha, beta=0.0, p=1.0, c=2, d_prime=d_prime, max_iter=6
     )
-    assert set(res.trace.eig_path[1:]) == {"krylov"}
-    assert max(res.trace.eig_steps) <= 2
+    start = sym_eig_top(x @ x.T, d_prime).vectors
+    u = run_kmeans(start.T @ x, 2, 0).indicator
+    op = build_m(x, u, compute_d(start, cfg.p, cfg.eps_row), cfg)
+    m = op.dense()
+    got = update_w(op, d_prime, start)
+    want = sym_eig_top(m, d_prime)
+    scale = float(np.abs(np.linalg.eigvalsh(m)).max())
+    assert np.abs(got.values - want.values).max() <= 1e-9 * scale
+    w = got.vectors
+    assert float(np.trace(w.T @ m @ w)) >= want.values.sum() - 1e-9 * scale
+    if alpha > 1:
+        assert got.path == "krylov-fallback"
+    check_solve(x, cfg)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_top_floor_bounds_the_dense_eigenvalues(seed):
+    rng = np.random.default_rng(seed)
+    d, n = int(rng.integers(30, 90)), int(rng.integers(3, 20))
+    x = centered_normal(seed, d, n)
+    cfg = SolverConfig(
+        alpha=float(rng.uniform(0.1, 10.0)),
+        beta=float(rng.choice([0.0, 1e-8, 1.0])),
+        p=1.0,
+        c=2,
+    )
+    w = sym_eig_top(x @ x.T, 2).vectors
+    w[0] = 0.0  # a zero row: D there is floored to 5e7
+    u = run_kmeans(w.T @ x, 2, 0).indicator
+    op = build_m(x, u, compute_d(w, cfg.p, cfg.eps_row), cfg)
+    values = np.linalg.eigvalsh(op.dense())[::-1]
+    slack = 1e-12 * np.abs(values).max()
+    for k in range(1, d - n + 2):
+        assert op.top_floor(k) <= values[k - 1] + slack
+    assert op.top_floor(d - n + 2) == -np.inf
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 1.5])
@@ -143,10 +190,10 @@ def test_constant_feature_on_the_krylov_path(p):
 
 
 def test_solve_records_the_dense_fallback():
-    # d' = 60 of d = KRYLOV_MIN_D features: a few block steps bring the
-    # basis to the point where the next block would fill R^d, so W comes
-    # from the dense eigh of M instead.
-    x = centered_normal(2, KRYLOV_MIN_D, 20)
+    # d' = 60 of d = 300 features: a few block steps bring the basis to
+    # the point where the next block would fill R^d, so W comes from the
+    # dense eigh of M instead.
+    x = centered_normal(2, 300, 20)
     cfg = SolverConfig(alpha=1.0, beta=1.0, p=1.0, c=3, d_prime=60, max_iter=2)
     res = check_solve(x, cfg)
     assert res.trace.eig_path == ["dense"] + ["krylov-fallback"] * 2
