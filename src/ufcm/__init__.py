@@ -16,6 +16,7 @@ from .dataset import (
     write_csv,
 )
 from .kmeans import (
+    CandidateChoice,
     IndicatorMatrix,
     KMeansResult,
     centroids,
@@ -48,6 +49,7 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CandidateChoice",
     "ContingencyTable",
     "CsvFormatError",
     "DataMatrix",

@@ -247,6 +247,8 @@ def _run_grid_point(task) -> list[dict]:
             "eig_residual": [
                 None if not np.isfinite(v) else v for v in tr.eig_residual
             ],
+            "lloyd_steps": tr.lloyd_steps,
+            "u_winner": tr.u_winner,
         },
         "eval_runs": spec.eval_runs,
         "selected": selected,

@@ -4,6 +4,16 @@ Data enters as (d', n): columns are samples already projected by the
 coefficient matrix. Centers are (d', c). The hot loops live in `_kernels`
 and run on samples-as-rows copies, made once per call.
 
+A Lloyd step scores itself from the cluster sums it already holds, by the
+decomposition within-cluster SS = total SS - between-cluster SS:
+
+    sum_i ||y_i - g_k(i)||^2 = sum_i ||y_i||^2 - sum_k ||s_k||^2 / n_k,
+
+with s_k the sum and n_k the size of cluster k. The total is computed once
+per run, so a step's score costs O(c d') and gathers no (n, d') array.
+The fit that candidates are compared by is computed directly, once per run,
+at the returned state.
+
 All randomness flows from explicit integer seeds; runs are bit-reproducible.
 """
 
@@ -48,10 +58,30 @@ class IndicatorMatrix:
 
 
 class KMeansResult(NamedTuple):
+    """A K-means state and its fit.
+
+    `fit` is ||Y - G U^T||_F^2, computed directly at the returned state.
+    `fit_history` has one entry per centroid update. Each entry but the
+    last is total SS minus between-cluster SS, taken from the step's
+    cluster sums; the cancellation costs about 1e-16 of the total SS, so
+    the entries are non-increasing up to that rounding. The last entry is
+    `fit` itself.
+    """
+
     indicator: IndicatorMatrix
     centers: np.ndarray  # (d', c)
-    fit: float           # ||Y - G U^T||_F^2 at the returned state
+    fit: float
     fit_history: tuple[float, ...] = ()
+
+
+class CandidateChoice(NamedTuple):
+    """The U update's pick among the incumbent and the restarted runs."""
+
+    indicator: IndicatorMatrix
+    centers: np.ndarray  # (d', c)
+    fit: float           # ||Y - G U^T||_F^2 at the chosen state
+    winner: int          # -1 for the incumbent, else the winning restart
+    lloyd_steps: int     # centroid updates over all the restarts
 
 
 def _rows(y: np.ndarray) -> np.ndarray:
@@ -102,8 +132,11 @@ def run_kmeans(
     """Lloyd iterations from c distinct random samples as initial centers.
 
     Alternates assignment and centroid steps until the assignment stabilizes
-    or max_iter is hit. The recorded fit history (one entry per centroid
-    update) is non-increasing. Deterministic given the seed.
+    or max_iter is hit. The fit history has one entry per centroid update,
+    each from that step's cluster sums (total SS - between-cluster SS),
+    non-increasing up to rounding; `fit`, its last entry, is computed
+    directly at the returned labels and centers. Deterministic given the
+    seed.
     """
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[1]
@@ -113,6 +146,7 @@ def run_kmeans(
         raise ValueError("max_iter must be >= 1")
 
     yt = _rows(y)
+    total = float(np.einsum("ij,ij->", yt, yt))
     rng = np.random.default_rng(seed)
     center_rows = yt[rng.choice(n, size=c, replace=False)].copy()
 
@@ -126,12 +160,15 @@ def run_kmeans(
         labels = new
         sums, counts = _kernels.centroid_sums(yt, labels, c)
         center_rows = sums / counts[:, None]
-        history.append(_kernels.fit_value(yt, center_rows, labels))
+        between = np.einsum("ij,ij->i", sums, sums) / counts
+        history.append(total - float(between.sum()))
 
+    fit = _kernels.fit_value(yt, center_rows, labels)
+    history[-1] = fit
     return KMeansResult(
         indicator=IndicatorMatrix(labels, c),
         centers=center_rows.T.copy(),
-        fit=history[-1],
+        fit=fit,
         fit_history=tuple(history),
     )
 
@@ -143,13 +180,14 @@ def update_u_with_candidates(
     r: int,
     seed: int,
     max_iter: int = 100,
-) -> KMeansResult:
+) -> CandidateChoice:
     """Best of the incumbent and r fresh K-means runs, by fit.
 
     Each candidate is a converged run from a distinct derived seed and is
     scored by ||Y - G U^T||_F^2 under its own induced centroids; the
     incumbent is scored the same way and wins ties, so the returned fit
-    never exceeds the incumbent's.
+    never exceeds the incumbent's. When the incumbent wins, its own
+    `u_prev` object is returned.
     """
     y = np.asarray(y, dtype=np.float64)
     if u_prev.n != y.shape[1]:
@@ -166,9 +204,12 @@ def update_u_with_candidates(
     inc_fit = _kernels.fit_value(yt, _rows(inc_centers), u_prev.assignments)
     best = KMeansResult(indicator=u_prev, centers=inc_centers, fit=inc_fit)
 
-    if r > 0:
-        for s in np.random.SeedSequence(seed).generate_state(r):
-            cand = run_kmeans(yt.T, c, int(s), max_iter=max_iter)
-            if cand.fit < best.fit:
-                best = cand
-    return best
+    winner, steps = -1, 0
+    for i, s in enumerate(np.random.SeedSequence(seed).generate_state(r)):
+        cand = run_kmeans(yt.T, c, int(s), max_iter=max_iter)
+        steps += len(cand.fit_history)
+        if cand.fit < best.fit:
+            best, winner = cand, i
+    return CandidateChoice(
+        best.indicator, best.centers, best.fit, winner, steps
+    )

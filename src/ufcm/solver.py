@@ -119,6 +119,10 @@ class SolverTrace:
     eig_path: list[str] = field(default_factory=list)
     eig_steps: list[int] = field(default_factory=list)
     eig_residual: list[float] = field(default_factory=list)
+    # How the state's U was chosen: centroid updates over its K-means runs
+    # (row 0: the init run) and the winning restart (-1: the incumbent).
+    lloyd_steps: list[int] = field(default_factory=list)
+    u_winner: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.objective)
@@ -340,6 +344,7 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
     y = w.T @ x  # shared by the terms, the G update and the next U update
     km = run_kmeans(y, cfg.c, int(seeds[0]))
     u, g = km.indicator, km.centers
+    steps, winner = len(km.fit_history), -1
 
     trace = SolverTrace()
 
@@ -360,6 +365,8 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
         trace.eig_path.append(eig.path)
         trace.eig_steps.append(eig.steps)
         trace.eig_residual.append(eig.residual)
+        trace.lloyd_steps.append(steps)
+        trace.u_winner.append(winner)
         return rel
 
     record(0)
@@ -372,7 +379,7 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
         changes = int(
             np.count_nonzero(km.indicator.assignments != u.assignments)
         )
-        u = km.indicator
+        u, steps, winner = km.indicator, km.lloyd_steps, km.winner
         eig = update_w(build_m(x, u, d_diag, cfg, gram=gram), d_prime, w)
         w = eig.vectors
         y = w.T @ x

@@ -81,6 +81,21 @@ def test_record_trace_reports_the_eigensolver(tmp_path):
     assert max(tr["eig_residual"]) <= 1e-8
 
 
+def test_record_trace_reports_the_u_update(tmp_path):
+    for side in ("a", "b"):
+        run_experiment(spec_for(tmp_path / side, restarts=3))
+    record, _ = load_record(tmp_path / "a" / "record_gp000.json")
+    tr = record["trace"]
+    states = len(tr["objective"])
+    assert len(tr["lloyd_steps"]) == len(tr["u_winner"]) == states
+    assert min(tr["lloyd_steps"]) >= 1
+    assert tr["u_winner"][0] == -1
+    assert set(tr["u_winner"]) <= {-1, 0, 1, 2}
+    assert stripped(tmp_path / "a" / "record_gp000.json") == stripped(
+        tmp_path / "b" / "record_gp000.json"
+    )
+
+
 def test_grid_4x4x3_produces_48_records(tmp_path):
     out = tmp_path / "grid"
     spec = spec_for(

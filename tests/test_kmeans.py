@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ufcm import _kernels, kmeans
 from ufcm.kmeans import (
     IndicatorMatrix,
     _repair_empty,
@@ -162,3 +163,119 @@ def test_update_u_never_increases_fit(seed):
     incumbent_fit = fit_of(y, centroids(y, u_prev), labels)
     res = update_u_with_candidates(y, u_prev, 3, r=3, seed=seed)
     assert res.fit <= incumbent_fit + 1e-12
+
+
+def oracle_kmeans(y, c, seed, max_iter=100):
+    """The Lloyd loop as it was when every step scored its fit directly:
+    labels, (d', c) centers and the per-step direct fits."""
+    yt = np.ascontiguousarray(np.asarray(y, dtype=np.float64).T)
+    rng = np.random.default_rng(seed)
+    center_rows = yt[rng.choice(yt.shape[0], size=c, replace=False)].copy()
+    labels = None
+    history = []
+    for _ in range(max_iter):
+        new = _kernels.assign_labels(yt, center_rows)
+        new = _repair_empty(yt, new, center_rows, c)
+        if labels is not None and np.array_equal(new, labels):
+            break
+        labels = new
+        sums, counts = _kernels.centroid_sums(yt, labels, c)
+        center_rows = sums / counts[:, None]
+        history.append(_kernels.fit_value(yt, center_rows, labels))
+    return labels, center_rows.T.copy(), history
+
+
+def oracle_update_u(y, u_prev, c, r, seed):
+    """Index of the winning restart (-1: the incumbent), its fit and the
+    Lloyd steps of all restarts, with the oracle's loop."""
+    yt = np.ascontiguousarray(y.T)
+    inc = np.ascontiguousarray(centroids(y, u_prev).T)
+    best = _kernels.fit_value(yt, inc, u_prev.assignments)
+    winner, steps = -1, 0
+    for i, s in enumerate(np.random.SeedSequence(seed).generate_state(r)):
+        _, _, history = oracle_kmeans(y, c, int(s))
+        steps += len(history)
+        if history[-1] < best:
+            best, winner = history[-1], i
+    return winner, best, steps
+
+
+def gaussian(seed, d, n):
+    return np.random.default_rng(seed).normal(size=(d, n))
+
+
+def centered_blobs(seed, d, n, c, separation=8.0):
+    rng = np.random.default_rng(seed)
+    means = separation * rng.normal(size=(d, c))
+    y = means[:, rng.integers(0, c, size=n)] + rng.normal(size=(d, n))
+    return y - y.mean(axis=1, keepdims=True)
+
+
+def few_points(seed, d, n):
+    """Samples drawn from 4 distinct points. When two initial centers
+    coincide, the tie leaves a cluster empty and `_repair_empty` fills it;
+    with c = 3 some cluster holds two points, so the fit is not 0."""
+    points = np.random.default_rng(seed).normal(size=(d, 4))
+    return points[:, np.random.default_rng(seed + 1).integers(0, 4, size=n)]
+
+
+# name: (input from a seed, cluster count)
+SHAPES = {
+    "gaussian-2x30": (lambda s: gaussian(s, 2, 30), 3),
+    "gaussian-1x60": (lambda s: gaussian(s, 1, 60), 5),
+    "gaussian-10x800": (lambda s: gaussian(s, 10, 800), 10),
+    "blobs-5x300": (lambda s: centered_blobs(s, 5, 300, 4), 4),
+    "blobs-10x2000": (lambda s: centered_blobs(s, 10, 2000, 10), 10),
+    "few-points-2x40": (lambda s: few_points(s, 2, 40), 3),
+}
+on_shapes = pytest.mark.parametrize("make, c", SHAPES.values(), ids=SHAPES)
+
+
+@on_shapes
+def test_run_kmeans_matches_the_direct_fit_loop(make, c):
+    for seed in range(12):
+        y = make(seed)
+        labels, centers, history = oracle_kmeans(y, c, seed)
+        res = run_kmeans(y, c, seed)
+        assert np.array_equal(res.indicator.assignments, labels)
+        assert np.array_equal(res.centers, centers)
+        assert res.fit == history[-1]
+        assert res.fit_history[-1] == res.fit
+        assert len(res.fit_history) == len(history)
+        # An entry's rounding is about 1e-16 of the total SS, far below
+        # 1e-12 of the fit on these inputs.
+        np.testing.assert_allclose(res.fit_history, history, rtol=1e-12)
+
+
+def test_few_points_input_goes_through_the_empty_cluster_repair(monkeypatch):
+    repairs = []
+
+    def counting(yt, labels, center_rows, c):
+        out = _repair_empty(yt, labels, center_rows, c)
+        repairs.append(not np.array_equal(out, labels))
+        return out
+
+    monkeypatch.setattr(kmeans, "_repair_empty", counting)
+    for seed in range(12):
+        run_kmeans(few_points(seed, 2, 40), 3, seed)
+    assert sum(repairs) >= 4
+
+
+@on_shapes
+def test_update_u_picks_the_direct_fit_loops_winner(make, c):
+    winners = []
+    for seed in range(8):
+        y = make(seed)
+        # An incumbent from one more run, so restarts both win and lose.
+        u_prev = run_kmeans(y, c, seed + 100).indicator
+        winner, fit, steps = oracle_update_u(y, u_prev, c, 3, seed)
+        res = update_u_with_candidates(y, u_prev, c, r=3, seed=seed)
+        assert res.winner == winner
+        assert res.fit == fit
+        assert res.lloyd_steps == steps
+        if winner == -1:
+            assert res.indicator is u_prev
+        else:
+            assert res.indicator is not u_prev
+        winners.append(winner)
+    assert -1 in winners and max(winners) >= 0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_orthonormal
 from ufcm.dataset import center, make_blobs
 from ufcm.kmeans import IndicatorMatrix
-from ufcm import solver
+from ufcm import kmeans, solver
 from ufcm.solver import (
     SolverConfig,
     build_m,
@@ -275,6 +275,39 @@ def test_trace_reports_the_dense_eigensolve_per_state():
     assert res.trace.eig_path == ["dense"] * len(res.trace)
     assert res.trace.eig_steps == [0] * len(res.trace)
     assert max(res.trace.eig_residual) <= 1e-12
+
+
+def test_trace_reports_the_u_update_per_state(monkeypatch):
+    # Count each state's Lloyd steps and winner through the names the
+    # solver looks up: the init run, the U updates and their restarts.
+    steps, winners = [0], [-1]
+
+    def counted(run):
+        def wrapped(*args, **kwargs):
+            res = run(*args, **kwargs)
+            steps[-1] += len(res.fit_history)
+            return res
+
+        return wrapped
+
+    def u_update(*args, **kwargs):
+        steps.append(0)
+        res = update_u(*args, **kwargs)
+        winners.append(res.winner)
+        return res
+
+    update_u = solver.update_u_with_candidates
+    monkeypatch.setattr(kmeans, "run_kmeans", counted(kmeans.run_kmeans))
+    monkeypatch.setattr(solver, "run_kmeans", counted(solver.run_kmeans))
+    monkeypatch.setattr(solver, "update_u_with_candidates", u_update)
+    cfg = cfg_for(seed=4, r=4, tol=1e-12, max_iter=8)
+    res = solve(blob_values(1), cfg)
+    assert res.trace.lloyd_steps == steps
+    assert res.trace.u_winner == winners
+    assert len(steps) == len(res.trace) and min(steps) >= 1
+    assert set(winners) <= set(range(-1, cfg.r))
+    for winner, changes in zip(winners, res.trace.assignment_changes):
+        assert winner >= 0 or changes == 0
 
 
 def test_solve_deterministic_bit_identical():
