@@ -6,7 +6,7 @@ by repeated K-means against ground-truth labels. One JSON record and one
 columnar trace file per grid point, a flat CSV summary across all of them,
 and (when labels exist) the best-by-accuracy row in a separate file, since
 picking by accuracy is an oracle selection unavailable to a truly
-unsupervised user.
+unsupervised user. Grid points run one after another in grid order.
 
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage error.
 """
@@ -18,9 +18,9 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -81,8 +81,8 @@ class ExperimentSpec:
                 raise UsageError("--select values must be positive")
         if self.eval_runs < 1:
             raise UsageError("--eval-runs must be >= 1")
-        if self.jobs < 1:
-            raise UsageError("--jobs must be >= 1")
+        if self.jobs != 1:
+            raise UsageError("--jobs must be 1: grid points run one at a time")
         try:
             self.solver_configs()
         except ValueError as exc:
@@ -120,11 +120,16 @@ def _parse_synthetic(text: str, seed: int) -> DataMatrix:
         key = key.strip()
         if not eq or key not in _BLOB_KEYS:
             raise UsageError(f"bad synthetic parameter {item!r}")
-        kwargs[key] = _BLOB_KEYS[key](value)
+        kwargs[key] = value
     missing = set(_BLOB_KEYS) - set(kwargs)
     if missing:
         raise UsageError(f"synthetic spec missing {sorted(missing)}")
-    return make_blobs(seed=seed, **kwargs)
+    try:
+        return make_blobs(
+            seed=seed, **{k: _BLOB_KEYS[k](v) for k, v in kwargs.items()}
+        )
+    except ValueError as exc:
+        raise UsageError(f"bad synthetic spec {text!r}: {exc}") from exc
 
 
 def _sha256_file(path) -> str:
@@ -189,9 +194,8 @@ def emit_trace(result: SolverResult, path) -> None:
             )
 
 
-def _run_grid_point(task) -> list[dict]:
+def _run_grid_point(data, spec, source, gi, cfg) -> list[dict]:
     """Solve one (alpha, beta, p) point and write its record and trace."""
-    data, spec, source, gi, cfg = task
     out = Path(spec.out)
     t0 = time.perf_counter()
     result = solve(data.values, cfg)
@@ -218,7 +222,14 @@ def _run_grid_point(task) -> list[dict]:
             evaluation[str(m)] = dict(stats._asdict())
     eval_s = time.perf_counter() - t0
 
-    tr = result.trace
+    # JSON has no inf or nan: each non-finite float is written as null.
+    trace = {
+        name: [
+            None if isinstance(v, float) and not math.isfinite(v) else v
+            for v in values
+        ]
+        for name, values in asdict(result.trace).items()
+    }
     record = {
         "schema": "ufcm-result-v1",
         "source": source,
@@ -230,33 +241,17 @@ def _run_grid_point(task) -> list[dict]:
         "solver": {
             "converged": result.converged,
             "iterations": result.iterations,
-            "final_objective": tr.objective[-1],
+            "final_objective": trace["objective"][-1],
         },
-        "trace": {
-            "objective": tr.objective,
-            "fit_term": tr.fit_term,
-            "scatter_term": tr.scatter_term,
-            "regularizer_pow_p": tr.regularizer_pow_p,
-            "assignment_changes": tr.assignment_changes,
-            "w_orth_error": tr.w_orth_error,
-            "rel_change": [
-                None if not np.isfinite(v) else v for v in tr.rel_change
-            ],
-            "eig_path": tr.eig_path,
-            "eig_steps": tr.eig_steps,
-            "eig_residual": [
-                None if not np.isfinite(v) else v for v in tr.eig_residual
-            ],
-            "lloyd_steps": tr.lloyd_steps,
-            "u_winner": tr.u_winner,
-        },
+        "trace": trace,
         "eval_runs": spec.eval_runs,
         "selected": selected,
         "evaluation": evaluation if data.labels is not None else None,
         "timing": {"solve_s": solve_s, "evaluate_s": eval_s},
     }
     (out / f"record_gp{gi:03d}.json").write_text(
-        json.dumps(record, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n",
+        encoding="utf-8",
     )
     emit_trace(result, out / f"trace_gp{gi:03d}.csv")
 
@@ -276,34 +271,17 @@ def _run_grid_point(task) -> list[dict]:
                 "nmi_std": stats.get("nmi_std", ""),
                 "converged": result.converged,
                 "iterations": result.iterations,
-                "objective": tr.objective[-1],
+                "objective": result.trace.objective[-1],
             }
         )
     return rows
 
 
-_SUMMARY_FIELDS = [
-    "grid_index",
-    "alpha",
-    "beta",
-    "p",
-    "m",
-    "acc_mean",
-    "acc_std",
-    "nmi_mean",
-    "nmi_std",
-    "converged",
-    "iterations",
-    "objective",
-]
-
-
 def run_experiment(spec: ExperimentSpec) -> list[dict]:
     """Execute every grid point, write records, traces, and the summary.
 
-    Returns the summary rows. Grid points run in parallel when spec.jobs > 1;
-    each worker writes its own record and trace, the summary is aggregated
-    here afterwards in grid order.
+    Returns the summary rows, in grid order. Each grid point writes its own
+    record and trace as it finishes; the summary is written after the last.
     """
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -323,20 +301,14 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
         )
     data = _prepare(raw, spec.scale)
 
-    tasks = [
-        (data, spec, source, gi, cfg)
-        for gi, cfg in enumerate(spec.solver_configs())
-    ]
+    rows = []
+    for gi, cfg in enumerate(spec.solver_configs()):
+        rows.extend(_run_grid_point(data, spec, source, gi, cfg))
 
-    if spec.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            per_point = list(pool.map(_run_grid_point, tasks))
-    else:
-        per_point = [_run_grid_point(t) for t in tasks]
-
-    rows = [row for rows in per_point for row in rows]
+    # Every grid point has at least one row, all with the same keys.
+    fields = list(rows[0])
     with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SUMMARY_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -346,7 +318,7 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
         with open(
             out / "best_by_acc.csv", "w", newline="", encoding="utf-8"
         ) as fh:
-            writer = csv.DictWriter(fh, fieldnames=_SUMMARY_FIELDS + ["selection"])
+            writer = csv.DictWriter(fh, fieldnames=fields + ["selection"])
             writer.writeheader()
             writer.writerow({**best, "selection": "oracle-best-acc"})
     return rows
@@ -424,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="scale features to unit variance after centering",
     )
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="must be 1 (kept for old scripts)"
+    )
     parser.add_argument("--out", required=True, help="output directory")
     return parser
 

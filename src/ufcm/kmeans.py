@@ -131,12 +131,18 @@ def run_kmeans(
 ) -> KMeansResult:
     """Lloyd iterations from c distinct random samples as initial centers.
 
-    Alternates assignment and centroid steps until the assignment stabilizes
-    or max_iter is hit. The fit history has one entry per centroid update,
-    each from that step's cluster sums (total SS - between-cluster SS),
-    non-increasing up to rounding; `fit`, its last entry, is computed
-    directly at the returned labels and centers. Deterministic given the
-    seed.
+    Alternates assignment and centroid steps until an assignment repeats
+    one the run has made before, or max_iter is hit. The repeat is usually
+    the previous step's: a fixed point. With duplicate samples,
+    `_repair_empty` can refill an emptied cluster with a point another
+    centroid sits on, and the labels then cycle without one. Lloyd cannot
+    revisit a labelling while its fit strictly falls, so a run that does
+    not cycle stops where a fixed-point test would stop it.
+
+    The fit history has one entry per centroid update, each from that
+    step's cluster sums (total SS - between-cluster SS), non-increasing up
+    to rounding; `fit`, its last entry, is computed directly at the
+    returned labels and centers. Deterministic given the seed.
     """
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[1]
@@ -150,13 +156,18 @@ def run_kmeans(
     rng = np.random.default_rng(seed)
     center_rows = yt[rng.choice(n, size=c, replace=False)].copy()
 
+    # One byte per sample for c <= 256 keeps the visited set small.
+    key_type = np.min_scalar_type(c - 1)
+    visited = set()
     labels = None
     history = []
     for _ in range(max_iter):
         new = _kernels.assign_labels(yt, center_rows)
         new = _repair_empty(yt, new, center_rows, c)
-        if labels is not None and np.array_equal(new, labels):
+        key = new.astype(key_type).tobytes()
+        if key in visited:
             break
+        visited.add(key)
         labels = new
         sums, counts = _kernels.centroid_sums(yt, labels, c)
         center_rows = sums / counts[:, None]

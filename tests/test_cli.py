@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -15,7 +16,7 @@ from ufcm.cli import (
     run_experiment,
 )
 from ufcm.dataset import make_blobs, write_csv
-from ufcm.solver import SolverConfig, solve
+from ufcm.solver import SolverConfig, SolverTrace, solve
 
 BLOBS = (
     "blobs:n_per_cluster=15,c=3,d_informative=3,d_noise=5,"
@@ -132,15 +133,56 @@ def test_repeat_runs_byte_identical_modulo_timing(tmp_path):
     ).read_bytes()
 
 
-def test_parallel_jobs_match_serial(tmp_path):
-    grids = dict(grid_alpha=[0.5, 1.0], max_iter=3, select_counts=[3])
-    run_experiment(spec_for(tmp_path / "serial", jobs=1, **grids))
-    run_experiment(spec_for(tmp_path / "par", jobs=2, **grids))
+def test_record_trace_is_the_solver_trace(tmp_path, monkeypatch):
+    results = []
+
+    def recording_solve(x, cfg):
+        result = solve(x, cfg)
+        # A non-finite value in a field the solver keeps finite.
+        result.trace.w_orth_error[-1] = math.nan
+        results.append(result)
+        return result
+
+    def no_constants(name):
+        raise AssertionError(f"{name} in the record")
+
+    monkeypatch.setattr("ufcm.cli.solve", recording_solve)
+    out = tmp_path / "out"
+    run_experiment(spec_for(out, max_iter=3, select_counts=[3]))
+    text = (out / "record_gp000.json").read_text()
+    trace = json.loads(text, parse_constant=no_constants)["trace"]
+    names = [f.name for f in dataclasses.fields(SolverTrace)]
+    assert sorted(trace) == sorted(names)
+    assert trace["rel_change"][0] is None  # inf: no change before state 0
+    assert trace["w_orth_error"][-1] is None
+    for name, values in dataclasses.asdict(results[0].trace).items():
+        assert trace[name] == [
+            None if isinstance(v, float) and not math.isfinite(v) else v
+            for v in values
+        ]
+
+
+def test_jobs_flag_accepts_only_1(tmp_path, capsys):
+    argv = [
+        "--synthetic", BLOBS,
+        "--clusters", "3",
+        "--grid-alpha", "0.5,1",
+        "--select", "3",
+        "--max-iter", "3",
+        "--seed", "9",
+    ]
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    assert main([*argv, "--jobs", "1", "--out", str(tmp_path / "one")]) == 0
     for gi in range(2):
         name = f"record_gp{gi:03d}.json"
-        assert stripped(tmp_path / "serial" / name) == stripped(
-            tmp_path / "par" / name
+        assert stripped(tmp_path / "plain" / name) == stripped(
+            tmp_path / "one" / name
         )
+    capsys.readouterr()
+    out = tmp_path / "two"
+    assert main([*argv, "--jobs", "2", "--out", str(out)]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not list(out.glob("record_gp*.json"))
 
 
 def test_emit_trace_round_trip(tmp_path):
@@ -260,14 +302,14 @@ def test_missing_input_file_is_runtime_error(tmp_path):
 
 
 def test_bad_synthetic_spec_is_usage_error(tmp_path):
-    code = main(
-        [
-            "--synthetic", "rings:radius=1",
-            "--clusters", "2",
-            "--out", str(tmp_path / "out"),
-        ]
-    )
-    assert code == 2
+    for spec in (
+        "rings:radius=1",
+        BLOBS.replace("n_per_cluster=15", "n_per_cluster=abc"),
+        BLOBS.replace("n_per_cluster=15", "n_per_cluster=0"),
+        BLOBS.replace("separation=4.0", "separation=-1"),
+    ):
+        argv = ["--synthetic", spec, "--clusters", "2"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2, spec
 
 
 def test_select_beyond_feature_count_is_usage_error_before_solving(

@@ -123,6 +123,22 @@ def test_run_kmeans_reaches_global_optimum_usually():
     assert hits >= 40  # >= 80% of seeds
 
 
+def test_run_kmeans_stops_when_duplicate_samples_cycle():
+    # 40 samples at 3 distinct points, c = 5: `_repair_empty` refills an
+    # emptied cluster with a point another centroid sits on, and that
+    # point's copies then flip between the two clusters on every step, so
+    # the labels never repeat on consecutive steps.
+    rng = np.random.default_rng(8)
+    points = rng.normal(size=(3, 2))
+    y = points[rng.integers(0, 3, size=40)].T
+    y = y - y.mean(axis=1, keepdims=True)
+    for seed in range(10):
+        res = run_kmeans(y, 5, seed)
+        assert len(res.fit_history) < 10
+        assert res.fit == pytest.approx(0.0, abs=1e-20)
+        assert res.indicator.counts().min() >= 1
+
+
 def test_run_kmeans_rejects_too_many_clusters(rng):
     with pytest.raises(ValueError):
         run_kmeans(rng.normal(size=(2, 3)), 4, seed=0)

@@ -183,13 +183,14 @@ def test_accuracy_empty():
         accuracy([], [])
 
 
-def scipy_modules_after(code: str) -> str:
+def modules_after(code: str, packages=("scipy",)) -> str:
     """Run `code` in a fresh interpreter with ufcm importable and return the
-    sorted list of scipy modules loaded afterwards, as printed."""
+    sorted list of modules of `packages` loaded afterwards, as printed."""
     env = dict(os.environ, PYTHONPATH=str(Path(ufcm.__file__).parents[1]))
     probe = (
         f"import sys; {code}; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules "
+        f"if m.split('.')[0] in {tuple(packages)!r}))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -205,7 +206,13 @@ def scipy_modules_after(code: str) -> str:
 def test_import_leaves_scipy_optimize_unloaded():
     # No scipy module loads with `import ufcm`: each costs import time and
     # resident memory on every run.
-    assert scipy_modules_after("import ufcm") == "[]"
+    assert modules_after("import ufcm") == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # The CLI runs its grid points one at a time in its own process.
+    packages = ("scipy", "concurrent", "multiprocessing")
+    assert modules_after("import ufcm.cli", packages) == "[]"
 
 
 def test_labelled_cli_run_loads_no_scipy(tmp_path):
@@ -230,7 +237,7 @@ def test_labelled_cli_run_loads_no_scipy(tmp_path):
         "res = solve(x, SolverConfig(alpha=1, beta=1, p=1, c=3, max_iter=2)); "
         "assert res.trace.eig_path == ['dense', 'krylov', 'krylov']"
     )
-    assert scipy_modules_after(code) == "[]"
+    assert modules_after(code) == "[]"
     record = json.loads((tmp_path / "out" / "record_gp000.json").read_text())
     assert set(record["evaluation"]) == {"3", "7"}
 
