@@ -24,7 +24,6 @@ from .kmeans import (
     update_u_with_candidates,
 )
 from .metrics import (
-    ContingencyTable,
     EvalStats,
     FeatureRanking,
     accuracy,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CandidateChoice",
-    "ContingencyTable",
     "CsvFormatError",
     "DataMatrix",
     "EvalStats",

@@ -8,6 +8,15 @@ and (when labels exist) the best-by-accuracy row in a separate file, since
 picking by accuracy is an oracle selection unavailable to a truly
 unsupervised user. Grid points run one after another in grid order.
 
+The grid is the product of the solver hyperparameters, alpha-major. Each
+takes one value or a comma list under either of two spellings of one
+option; a bare flag gives the grid 1e-3,1e-1,1e1,1e3, and of repeated
+flags the last wins:
+
+    --alpha / --grid-alpha   margin weight, > 0 (default 1)
+    --beta / --grid-beta     row-sparsity weight, >= 0 (default 1)
+    --p / --grid-p           row-norm exponent in (0, 2) (default 1)
+
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage error.
 """
 
@@ -21,7 +30,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,9 +62,9 @@ class ExperimentSpec:
     input: str | None = None
     label_column: str | int | None = None
     synthetic: str | None = None
-    alpha: float = 1.0
-    beta: float = 1.0
-    p: float = 1.0
+    alpha: list[float] = field(default_factory=lambda: [1.0])
+    beta: list[float] = field(default_factory=lambda: [1.0])
+    p: list[float] = field(default_factory=lambda: [1.0])
     dim: int | None = None
     select_counts: list[int] | None = None
     restarts: int = 10
@@ -63,19 +72,17 @@ class ExperimentSpec:
     tol: float = 1e-6
     seed: int = 0
     eval_runs: int = 5
-    grid_alpha: list[float] | None = None
-    grid_beta: list[float] | None = None
-    grid_p: list[float] | None = None
     jobs: int = 1
     scale: bool = False
 
     def __post_init__(self):
         if (self.input is None) == (self.synthetic is None):
             raise UsageError("exactly one of --input / --synthetic required")
-        for name in ("grid_alpha", "grid_beta", "grid_p"):
-            grid = getattr(self, name)
-            if grid is not None and not grid:
-                raise UsageError(f"{name} must be non-empty when given")
+        if self.synthetic is not None and self.label_column is not None:
+            raise UsageError("--label-column applies only to --input")
+        for name in ("alpha", "beta", "p"):
+            if not getattr(self, name):
+                raise UsageError(f"--{name} needs at least one value")
         if self.select_counts is not None:
             if not self.select_counts or min(self.select_counts) < 1:
                 raise UsageError("--select values must be positive")
@@ -103,9 +110,7 @@ class ExperimentSpec:
                 seed=self.seed,
             )
             for alpha, beta, p in itertools.product(
-                self.grid_alpha or [self.alpha],
-                self.grid_beta or [self.beta],
-                self.grid_p or [self.p],
+                self.alpha, self.beta, self.p
             )
         ]
 
@@ -236,7 +241,7 @@ def _run_grid_point(data, spec, source, gi, cfg) -> list[dict]:
         "seed": spec.seed,
         "grid_index": gi,
         "config": asdict(cfg),
-        "d_prime_resolved": cfg.d_prime if cfg.d_prime is not None else cfg.c,
+        "d_prime_resolved": result.w.shape[1],
         "preprocessing": {"centered": True, "unit_variance": spec.scale},
         "solver": {
             "converged": result.converged,
@@ -364,9 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
         type=_label_column,
         help="CSV column with ground-truth labels (name or 0-based index)",
     )
-    parser.add_argument("--alpha", type=float, default=1.0)
-    parser.add_argument("--beta", type=float, default=1.0)
-    parser.add_argument("--p", type=float, default=1.0)
+    for name in ("alpha", "beta", "p"):
+        parser.add_argument(
+            f"--{name}",
+            f"--grid-{name}",
+            type=_comma_floats,
+            nargs="?",
+            default=[1.0],
+            const=_comma_floats(DEFAULT_GRID),
+            help=f"value or comma list (default: 1; bare: {DEFAULT_GRID})",
+        )
     parser.add_argument("--clusters", type=int, required=True)
     parser.add_argument(
         "--dim", type=int, help="projection dimension d' (default: clusters)"
@@ -383,14 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, default=1e-6)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--eval-runs", type=int, default=5)
-    for name in ("alpha", "beta", "p"):
-        parser.add_argument(
-            f"--grid-{name}",
-            type=_comma_floats,
-            nargs="?",
-            const=_comma_floats(DEFAULT_GRID),
-            help=f"sweep {name} over a comma list (bare flag: {DEFAULT_GRID})",
-        )
     parser.add_argument(
         "--scale",
         action="store_true",

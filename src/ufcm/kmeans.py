@@ -26,6 +26,8 @@ import numpy as np
 
 from . import _kernels
 
+LLOYD_MAX_STEPS = 100  # cap on centroid updates per K-means run
+
 
 @dataclass
 class IndicatorMatrix:
@@ -126,18 +128,17 @@ def centroids(y: np.ndarray, indicator: IndicatorMatrix) -> np.ndarray:
     return (sums / counts[:, None]).T
 
 
-def run_kmeans(
-    y: np.ndarray, c: int, seed: int, max_iter: int = 100
-) -> KMeansResult:
+def run_kmeans(y: np.ndarray, c: int, seed: int) -> KMeansResult:
     """Lloyd iterations from c distinct random samples as initial centers.
 
     Alternates assignment and centroid steps until an assignment repeats
-    one the run has made before, or max_iter is hit. The repeat is usually
-    the previous step's: a fixed point. With duplicate samples,
-    `_repair_empty` can refill an emptied cluster with a point another
-    centroid sits on, and the labels then cycle without one. Lloyd cannot
-    revisit a labelling while its fit strictly falls, so a run that does
-    not cycle stops where a fixed-point test would stop it.
+    one the run has made before, or for at most LLOYD_MAX_STEPS (100)
+    centroid updates. The repeat is usually the previous step's: a fixed
+    point. With duplicate samples, `_repair_empty` can refill an emptied
+    cluster with a point another centroid sits on, and the labels then
+    cycle without one. Lloyd cannot revisit a labelling while its fit
+    strictly falls, so a run that does not cycle stops where a fixed-point
+    test would stop it.
 
     The fit history has one entry per centroid update, each from that
     step's cluster sums (total SS - between-cluster SS), non-increasing up
@@ -148,8 +149,6 @@ def run_kmeans(
     n = y.shape[1]
     if not 1 <= c <= n:
         raise ValueError(f"cluster count {c} out of range [1, {n}]")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
 
     yt = _rows(y)
     total = float(np.einsum("ij,ij->", yt, yt))
@@ -161,7 +160,7 @@ def run_kmeans(
     visited = set()
     labels = None
     history = []
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_STEPS):
         new = _kernels.assign_labels(yt, center_rows)
         new = _repair_empty(yt, new, center_rows, c)
         key = new.astype(key_type).tobytes()
@@ -185,20 +184,16 @@ def run_kmeans(
 
 
 def update_u_with_candidates(
-    y: np.ndarray,
-    u_prev: IndicatorMatrix,
-    c: int,
-    r: int,
-    seed: int,
-    max_iter: int = 100,
+    y: np.ndarray, u_prev: IndicatorMatrix, c: int, r: int, seed: int
 ) -> CandidateChoice:
     """Best of the incumbent and r fresh K-means runs, by fit.
 
-    Each candidate is a converged run from a distinct derived seed and is
-    scored by ||Y - G U^T||_F^2 under its own induced centroids; the
-    incumbent is scored the same way and wins ties, so the returned fit
-    never exceeds the incumbent's. When the incumbent wins, its own
-    `u_prev` object is returned.
+    Each candidate is a `run_kmeans` run (at most LLOYD_MAX_STEPS, 100,
+    centroid updates) from a distinct derived seed, scored by
+    ||Y - G U^T||_F^2 under its own induced centroids; the incumbent is
+    scored the same way and wins ties, so the returned fit never exceeds
+    the incumbent's. When the incumbent wins, its own `u_prev` object is
+    returned.
     """
     y = np.asarray(y, dtype=np.float64)
     if u_prev.n != y.shape[1]:
@@ -217,7 +212,7 @@ def update_u_with_candidates(
 
     winner, steps = -1, 0
     for i, s in enumerate(np.random.SeedSequence(seed).generate_state(r)):
-        cand = run_kmeans(yt.T, c, int(s), max_iter=max_iter)
+        cand = run_kmeans(yt.T, c, int(s))
         steps += len(cand.fit_history)
         if cand.fit < best.fit:
             best, winner = cand, i

@@ -26,6 +26,7 @@ import numpy as np
 
 KRYLOV_TOL = 1e-11     # relative Ritz residual at which the loop stops
 KRYLOV_MAX_STEPS = 64  # hard cap on block steps
+CENTER_TOL = 1e-6      # feature-mean bound, relative to max(1, max |x|)
 _ROUNDOFF = 1e-14      # residual floor, as a share of ||T|| (see below)
 _RITZ_GAP = 4          # block steps between Rayleigh-Ritz checks
 _DEFLATE = 1e-12       # new directions below this share of the block drop
@@ -53,19 +54,20 @@ class EigenPairs:
     path: str = "dense"
 
 
-def require_centered(x: np.ndarray, tol: float = 1e-6) -> None:
+def require_centered(x: np.ndarray) -> None:
     """Raise unless every entry is finite and every feature mean is
     numerically zero.
 
-    The tolerance scales with the data magnitude so that centered large-scale
-    data does not trip the check on floating-point residue.
+    The tolerance, CENTER_TOL (1e-6) times max(1, max |x|), scales with the
+    data magnitude so that centered large-scale data does not trip the
+    check on floating-point residue.
     """
     x = np.asarray(x)
     scale = float(np.abs(x).max()) if x.size else 0.0
     if not np.isfinite(scale):  # the max of |x| is NaN or inf if any entry is
         raise ValueError("matrix has non-finite (NaN or inf) entries")
     worst = float(np.abs(x.mean(axis=1)).max())
-    if worst > tol * max(1.0, scale):
+    if worst > CENTER_TOL * max(1.0, scale):
         raise ValueError(
             f"matrix is not centered: max |feature mean| = {worst:.3e}"
         )
@@ -130,9 +132,7 @@ def gram_eig_top(x: np.ndarray, k: int) -> EigenPairs:
 
 
 def block_krylov_top(
-    apply: Callable[[np.ndarray], np.ndarray],
-    start: np.ndarray,
-    max_steps: int = KRYLOV_MAX_STEPS,
+    apply: Callable[[np.ndarray], np.ndarray], start: np.ndarray
 ) -> EigenPairs:
     """Top-k Ritz pairs of a symmetric operator, warm-started at `start`.
 
@@ -145,8 +145,9 @@ def block_krylov_top(
     norm and appends the rest. At checkpoints a small `eigh` of T gives the
     top-k Ritz pairs; the loop stops once their residual
     max_j ||A w_j - theta_j w_j|| is at most KRYLOV_TOL * max_j |theta_j|,
-    or after `max_steps` steps. Checkpoints come every `_RITZ_GAP` steps:
-    once the basis is large, an `eigh` of T costs more than a block step.
+    or after KRYLOV_MAX_STEPS (64) steps. Checkpoints come every
+    `_RITZ_GAP` steps: once the basis is large, an `eigh` of T costs more
+    than a block step.
 
     The residual cannot fall below the round-off of `eigh` on T, about
     eps * ||T||. When A has entries far above its top eigenvalues (the
@@ -160,7 +161,7 @@ def block_krylov_top(
     the accuracy, not the ascent.
 
     `converged` is False when the loop stopped short of the tolerance: at
-    `max_steps`, when the next block would give the basis d columns, or
+    the step cap, when the next block would give the basis d columns, or
     when the basis became invariant first. An invariant basis gives exact
     eigenpairs, but not necessarily the top k: a start confined to an
     invariant subspace of A never leaves it. The same holds, undetected,
@@ -173,9 +174,7 @@ def block_krylov_top(
     d, k = start.shape
     if not 1 <= k <= d:
         raise ValueError(f"start has {k} columns, out of range [1, {d}]")
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    cols = min(d, (max_steps + 1) * k)
+    cols = min(d, (KRYLOV_MAX_STEPS + 1) * k)
     q = np.empty((d, cols))    # orthonormal basis
     aq = np.empty((d, cols))   # A applied to it
     t = np.empty((cols, cols))
@@ -189,9 +188,9 @@ def block_krylov_top(
         t[lo:hi, :hi] = coef.T
         t[lo:hi, lo:hi] = (coef[lo:] + coef[lo:].T) / 2
 
-        if steps % _RITZ_GAP == 0 or steps == max_steps:
+        if steps % _RITZ_GAP == 0 or steps == KRYLOV_MAX_STEPS:
             ritz = _rayleigh_ritz(q[:, :hi], aq[:, :hi], t[:hi, :hi], k)
-            if ritz.converged or steps == max_steps:
+            if ritz.converged or steps == KRYLOV_MAX_STEPS:
                 break
 
         norm = np.linalg.norm(block)

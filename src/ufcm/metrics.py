@@ -26,12 +26,6 @@ class FeatureRanking:
     order: np.ndarray   # permutation of 0..d-1
 
 
-@dataclass
-class ContingencyTable:
-    counts: np.ndarray  # (c_pred, c_true) non-negative ints
-    n: int
-
-
 def rank_features(w: np.ndarray) -> FeatureRanking:
     """Score each feature by the l2 norm of its coefficient row."""
     w = np.asarray(w, dtype=np.float64)
@@ -68,8 +62,10 @@ def _as_indices(labels) -> np.ndarray:
     return idx.astype(np.int64)
 
 
-def contingency(pred, truth) -> ContingencyTable:
-    """Joint count table of two labelings of the same samples."""
+def contingency(pred, truth) -> np.ndarray:
+    """Joint count table of two labelings of the same samples: a
+    (c_pred, c_true) array of non-negative ints summing to the sample
+    count."""
     p = _as_indices(pred)
     t = _as_indices(truth)
     if p.size != t.size:
@@ -78,8 +74,7 @@ def contingency(pred, truth) -> ContingencyTable:
         raise ValueError("empty labelings")
     cp = int(p.max()) + 1
     ct = int(t.max()) + 1
-    counts = np.bincount(p * ct + t, minlength=cp * ct).reshape(cp, ct)
-    return ContingencyTable(counts=counts, n=p.size)
+    return np.bincount(p * ct + t, minlength=cp * ct).reshape(cp, ct)
 
 
 def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
@@ -133,13 +128,12 @@ def accuracy(pred, truth) -> float:
     The contingency table is padded to square and the maximizing assignment
     found by a numpy Kuhn-Munkres on max-count-minus-count costs.
     """
-    table = contingency(pred, truth)
-    counts = table.counts
+    counts = contingency(pred, truth)
     size = max(counts.shape)
     padded = np.zeros((size, size), dtype=np.int64)
     padded[: counts.shape[0], : counts.shape[1]] = counts
     cols = _min_cost_assignment(padded.max() - padded)
-    return float(padded[np.arange(size), cols].sum()) / table.n
+    return float(padded[np.arange(size), cols].sum()) / int(counts.sum())
 
 
 def nmi(pred, truth) -> float:
@@ -149,9 +143,8 @@ def nmi(pred, truth) -> float:
     When either partition has a single class the denominator vanishes: the
     value is defined as 1.0 if both are single-class, else 0.0.
     """
-    table = contingency(pred, truth)
-    counts = table.counts
-    n = table.n
+    counts = contingency(pred, truth)
+    n = int(counts.sum())
     t_pred = counts.sum(axis=1)
     t_true = counts.sum(axis=0)
 

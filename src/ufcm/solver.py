@@ -197,11 +197,11 @@ def _matrix_free(d: int, n: int) -> bool:
 def compute_d(w: np.ndarray, p: float, eps_row: float) -> np.ndarray:
     """Reweighting diagonal from W's row norms: (p/2) ||w^i||^(p-2).
 
-    Row norms are floored at eps_row so zero rows stay finite. Accepts the
-    p=2 boundary (all ones) for testing; the solver itself requires p < 2.
+    p must lie in (0, 2), as in `SolverConfig`. Row norms are floored at
+    eps_row so zero rows stay finite.
     """
-    if not 0.0 < p <= 2.0:
-        raise ValueError("p must lie in (0, 2]")
+    if not 0.0 < p < 2.0:
+        raise ValueError("p must lie in (0, 2)")
     if not eps_row > 0:
         raise ValueError("eps_row must be > 0")
     norms = np.maximum(np.linalg.norm(w, axis=1), eps_row)

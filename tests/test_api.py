@@ -8,6 +8,7 @@ import ufcm.cli
 # Helpers only the tests called, deleted from the package.
 DELETED = [
     "CenterReport",
+    "ContingencyTable",
     "ScatterSet",
     "assign",
     "l2p_norm",

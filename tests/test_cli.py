@@ -105,9 +105,9 @@ def test_grid_4x4x3_produces_48_records(tmp_path):
         max_iter=3,
         restarts=1,
         eval_runs=1,
-        grid_alpha=[1e-3, 1e-1, 1e1, 1e3],
-        grid_beta=[1e-3, 1e-1, 1e1, 1e3],
-        grid_p=[0.5, 1.0, 1.5],
+        alpha=[1e-3, 1e-1, 1e1, 1e3],
+        beta=[1e-3, 1e-1, 1e1, 1e3],
+        p=[0.5, 1.0, 1.5],
     )
     rows = run_experiment(spec)
     assert len(rows) == 48
@@ -381,11 +381,36 @@ def test_parser_dests_are_the_spec_fields():
     assert set(vars(args)) == fields
 
 
-def test_grid_flag_without_value_uses_default_grid():
+@pytest.mark.parametrize("flag", ["--alpha", "--grid-alpha"])
+def test_grid_flag_without_value_uses_default_grid(flag):
     args = build_parser().parse_args(
-        ["--synthetic", BLOBS, "--clusters", "3", "--out", "o", "--grid-alpha"]
+        ["--synthetic", BLOBS, "--clusters", "3", "--out", "o", flag]
     )
-    assert args.grid_alpha == [1e-3, 1e-1, 1e1, 1e3]
+    assert args.alpha == [1e-3, 1e-1, 1e1, 1e3]
+
+
+def test_both_spellings_set_one_value_and_the_last_wins(tmp_path):
+    argv = [
+        "--synthetic", BLOBS,
+        "--clusters", "3",
+        "--select", "3",
+        "--max-iter", "3",
+        "--seed", "9",
+    ]
+    for flag in ("--alpha", "--grid-alpha"):
+        out = str(tmp_path / flag)
+        assert main([*argv, flag, "0.5,1", "--out", out]) == 0
+    for gi in range(2):
+        name = f"record_gp{gi:03d}.json"
+        assert stripped(tmp_path / "--alpha" / name) == stripped(
+            tmp_path / "--grid-alpha" / name
+        )
+    out = tmp_path / "last"
+    flags = ["--grid-alpha", "0.1,1", "--alpha", "2"]
+    assert main([*argv, *flags, "--out", str(out)]) == 0
+    assert len(list(out.glob("record_gp*.json"))) == 1
+    _, cfg = load_record(out / "record_gp000.json")
+    assert cfg.alpha == 2.0
 
 
 def test_load_record_revalidates_config(tmp_path):
@@ -402,8 +427,10 @@ def test_spec_validation():
     with pytest.raises(UsageError):
         ExperimentSpec(out="o", clusters=3)  # no source
     with pytest.raises(UsageError):
-        ExperimentSpec(
-            out="o", clusters=3, synthetic=BLOBS, grid_alpha=[]
-        )
+        ExperimentSpec(out="o", clusters=3, synthetic=BLOBS, alpha=[])
     with pytest.raises(UsageError):
         ExperimentSpec(out="o", clusters=3, synthetic=BLOBS, eval_runs=0)
+    with pytest.raises(UsageError, match="--label-column"):
+        ExperimentSpec(
+            out="o", clusters=3, synthetic=BLOBS, label_column="label"
+        )

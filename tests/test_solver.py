@@ -39,9 +39,10 @@ def test_compute_d_unit_row_p1():
     assert compute_d(w, p=1.0, eps_row=1e-8)[0] == pytest.approx(0.5)
 
 
-def test_compute_d_p2_boundary_is_identity(rng):
+def test_compute_d_rejects_p2(rng):
     w = rng.normal(size=(4, 2))
-    assert np.allclose(compute_d(w, p=2.0, eps_row=1e-8), 1.0)
+    with pytest.raises(ValueError, match=r"p must lie in \(0, 2\)"):
+        compute_d(w, p=2.0, eps_row=1e-8)
 
 
 def test_compute_d_zero_row_floored():
