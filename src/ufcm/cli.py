@@ -10,12 +10,14 @@ unsupervised user. Grid points run one after another in grid order.
 
 The grid is the product of the solver hyperparameters, alpha-major. Each
 takes one value or a comma list under either of two spellings of one
-option; a bare flag gives the grid 1e-3,1e-1,1e1,1e3, and of repeated
-flags the last wins:
+option; a bare flag gives that option's bare grid, and of repeated flags
+the last wins:
 
-    --alpha / --grid-alpha   margin weight, > 0 (default 1)
-    --beta / --grid-beta     row-sparsity weight, >= 0 (default 1)
-    --p / --grid-p           row-norm exponent in (0, 2) (default 1)
+    option                   value                  default  bare grid
+    --alpha / --grid-alpha   margin weight, > 0     1        1e-3,1e-1,1e1,1e3
+    --beta / --grid-beta     sparsity weight, >= 0  1        1e-3,1e-1,1e1,1e3
+    --p / --grid-p           row-norm exponent in   1        0.5,1,1.5
+                             (0, 2)
 
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage error.
 """
@@ -39,7 +41,12 @@ from .dataset import CsvFormatError, DataMatrix, center, load_csv, make_blobs
 from .metrics import evaluate_clustering, rank_features, select
 from .solver import SolverConfig, SolverResult, solve
 
-DEFAULT_GRID = "1e-3,1e-1,1e1,1e3"
+# The grid a bare flag sweeps; p's lies inside its range (0, 2).
+BARE_GRIDS = {
+    "alpha": "1e-3,1e-1,1e1,1e3",
+    "beta": "1e-3,1e-1,1e1,1e3",
+    "p": "0.5,1,1.5",
+}
 
 _BLOB_KEYS = {
     "n_per_cluster": int,
@@ -369,15 +376,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=_label_column,
         help="CSV column with ground-truth labels (name or 0-based index)",
     )
-    for name in ("alpha", "beta", "p"):
+    for name, bare in BARE_GRIDS.items():
         parser.add_argument(
             f"--{name}",
             f"--grid-{name}",
             type=_comma_floats,
             nargs="?",
             default=[1.0],
-            const=_comma_floats(DEFAULT_GRID),
-            help=f"value or comma list (default: 1; bare: {DEFAULT_GRID})",
+            const=_comma_floats(bare),
+            help=f"value or comma list (default: 1; bare: {bare})",
         )
     parser.add_argument("--clusters", type=int, required=True)
     parser.add_argument(

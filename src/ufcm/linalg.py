@@ -10,15 +10,19 @@ Two ways to the top-k eigenpairs of a symmetric matrix:
 - `block_krylov_top`: Rayleigh-Ritz on a block Krylov basis grown from a
   warm start (block Lanczos with full re-orthogonalisation; Golub &
   Underwood 1977, Saad 2011 ch. 6). It only applies the matrix to thin
-  blocks, so the matrix never has to exist.
+  blocks, so the matrix never has to exist. It checks its Ritz pairs at
+  steps extrapolated from the residual's rate of fall, not at a fixed
+  interval.
 
-`gram_eig_top` gives the top eigenpairs of X X^T from the thin SVD of X,
-without forming the product. All three fix eigenvector signs the same way
-(`fix_signs`) and report a relative residual.
+`gram_eig_top` gives the top eigenpairs of X X^T for a (d, n) X with
+d > n from the n x n product X^T X, without forming the d x d one. All
+three fix eigenvector signs the same way (`fix_signs`) and report a
+relative residual.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -28,7 +32,8 @@ KRYLOV_TOL = 1e-11     # relative Ritz residual at which the loop stops
 KRYLOV_MAX_STEPS = 64  # hard cap on block steps
 CENTER_TOL = 1e-6      # feature-mean bound, relative to max(1, max |x|)
 _ROUNDOFF = 1e-14      # residual floor, as a share of ||T|| (see below)
-_RITZ_GAP = 4          # block steps between Rayleigh-Ritz checks
+_FIRST_GAP = 4         # block steps to the next check, no rate known
+_MAX_GAP = 16          # most block steps between two later checks
 _DEFLATE = 1e-12       # new directions below this share of the block drop
 
 
@@ -38,18 +43,20 @@ class EigenPairs:
 
     `residual` is max_j ||A v_j - lambda_j v_j|| / max_j |lambda_j| over
     the k returned pairs (inf if every lambda_j is 0 and A V is not).
-    `steps` counts block Krylov steps, 0 for a direct decomposition;
-    `converged` is False when Ritz pairs missed their tolerance. `path`
-    names the solver: "dense" for a direct LAPACK decomposition, "krylov"
-    for Ritz pairs of `block_krylov_top`, and "krylov-fallback" (set by
+    `steps` counts block Krylov steps and `checks` their Rayleigh-Ritz
+    projections, both 0 for a direct decomposition; `converged` is False
+    when Ritz pairs missed their tolerance. `path` names the solver:
+    "dense" for a direct LAPACK decomposition, "krylov" for Ritz pairs of
+    `block_krylov_top`, and "krylov-fallback" (set by
     `solver.update_w`) for a dense decomposition taken after a Krylov loop
-    was abandoned, whose steps are then counted.
+    was abandoned, whose steps and checks are then counted.
     """
 
     values: np.ndarray   # (k,)
     vectors: np.ndarray  # (d, k), orthonormal columns
     residual: float
     steps: int = 0
+    checks: int = 0
     converged: bool = True
     path: str = "dense"
 
@@ -115,18 +122,24 @@ def sym_eig_top(a: np.ndarray, k: int) -> EigenPairs:
 
 
 def gram_eig_top(x: np.ndarray, k: int) -> EigenPairs:
-    """Top-k eigenpairs of X X^T from the thin SVD of the (d, n) matrix X.
+    """Top-k eigenpairs of X X^T from the n x n Gram matrix X^T X.
 
-    The d x d product is never formed: the eigenvectors are the leading left
-    singular vectors and the eigenvalues the squared singular values. Needs
-    k <= min(d, n), the number of singular vectors the thin SVD has.
+    X X^T and X^T X share their nonzero eigenvalues, and X v is an
+    eigenvector of X X^T for each eigenvector v of X^T X. So one `eigh` of
+    X^T X gives the values and V, and the Householder QR of X V gives
+    orthonormal vectors. QR rather than dividing X v by sqrt(lambda): a
+    centered X has rank at most n - 1, so at k = n the k-th eigenvalue can
+    be 0, and QR still returns a unit vector orthogonal to the others (an
+    eigenvector for 0). Cheaper than forming X X^T when the (d, n) X has
+    d > n. Needs k <= min(d, n).
     """
     x = np.asarray(x, dtype=np.float64)
     if not 1 <= k <= min(x.shape):
         raise ValueError(f"k={k} out of range [1, {min(x.shape)}]")
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
-    values = s[:k] ** 2
-    vectors = fix_signs(u[:, :k].copy())
+    values, v = np.linalg.eigh(x.T @ x)
+    values = values[::-1][:k].copy()
+    vectors, _ = np.linalg.qr(x @ v[:, ::-1][:, :k])
+    vectors = fix_signs(vectors)
     _, residual = _residual(x @ (x.T @ vectors), vectors, values)
     return EigenPairs(values, vectors, residual)
 
@@ -145,9 +158,19 @@ def block_krylov_top(
     norm and appends the rest. At checkpoints a small `eigh` of T gives the
     top-k Ritz pairs; the loop stops once their residual
     max_j ||A w_j - theta_j w_j|| is at most KRYLOV_TOL * max_j |theta_j|,
-    or after KRYLOV_MAX_STEPS (64) steps. Checkpoints come every
-    `_RITZ_GAP` steps: once the basis is large, an `eigh` of T costs more
-    than a block step.
+    or after KRYLOV_MAX_STEPS (64) steps. The basis and A times it are
+    column-major, so each step's slices are contiguous and capacity the
+    loop never reaches is never written.
+
+    Checkpoints are paid for only where they are likely to succeed: once
+    the basis is large, an `eigh` of T costs more than a block step. The
+    first comes at step 0 (a warm start may already be converged), the
+    second `_FIRST_GAP` steps later. After that the log-residual rate
+    between the last two checks is extrapolated to the step where the
+    residual reaches its tolerance, at most `_MAX_GAP` steps on (again
+    `_FIRST_GAP` if the residual did not fall). A check also comes at the
+    step cap and at every step whose next block could give the basis d
+    columns, so converged pairs never leave through that exit.
 
     The residual cannot fall below the round-off of `eigh` on T, about
     eps * ||T||. When A has entries far above its top eigenvalues (the
@@ -175,11 +198,12 @@ def block_krylov_top(
     if not 1 <= k <= d:
         raise ValueError(f"start has {k} columns, out of range [1, {d}]")
     cols = min(d, (KRYLOV_MAX_STEPS + 1) * k)
-    q = np.empty((d, cols))    # orthonormal basis
-    aq = np.empty((d, cols))   # A applied to it
+    q = np.empty((d, cols), order="F")    # orthonormal basis
+    aq = np.empty((d, cols), order="F")   # A applied to it
     t = np.empty((cols, cols))
     q[:, :k] = start
     lo, hi, steps = 0, k, 0
+    checks, due, last = 0, 0, None  # last: (step, log excess) of a check
     while True:
         block = apply(q[:, lo:hi])
         aq[:, lo:hi] = block
@@ -188,10 +212,17 @@ def block_krylov_top(
         t[lo:hi, :hi] = coef.T
         t[lo:hi, lo:hi] = (coef[lo:] + coef[lo:].T) / 2
 
-        if steps % _RITZ_GAP == 0 or steps == KRYLOV_MAX_STEPS:
-            ritz = _rayleigh_ritz(q[:, :hi], aq[:, :hi], t[:hi, :hi], k)
+        # The next block has at most hi - lo columns.
+        if steps in (due, KRYLOV_MAX_STEPS) or hi + (hi - lo) >= d:
+            ritz, excess = _rayleigh_ritz(
+                q[:, :hi], aq[:, :hi], t[:hi, :hi], k
+            )
+            checks += 1
             if ritz.converged or steps == KRYLOV_MAX_STEPS:
                 break
+            log_excess = math.log(excess)
+            due = _next_check(steps, log_excess, last)
+            last = steps, log_excess
 
         norm = np.linalg.norm(block)
         block -= q[:, :hi] @ coef
@@ -202,7 +233,12 @@ def block_krylov_top(
             # An invariant basis has round-off residuals whether or not it
             # holds the top eigenvectors, so its Ritz pairs prove nothing;
             # a basis of d columns is cheaper to replace by a dense eigh.
-            ritz = _rayleigh_ritz(q[:, :hi], aq[:, :hi], t[:hi, :hi], k)
+            # A step that could fill R^d was checked above.
+            if last[0] < steps:
+                ritz, _ = _rayleigh_ritz(
+                    q[:, :hi], aq[:, :hi], t[:hi, :hi], k
+                )
+                checks += 1
             ritz.converged = False
             break
         new = u[:, keep]
@@ -211,13 +247,27 @@ def block_krylov_top(
         q[:, lo:hi], _ = np.linalg.qr(new)
         steps += 1
 
-    ritz.steps = steps
+    ritz.steps, ritz.checks = steps, checks
     ritz.path = "krylov"
     return ritz
 
 
-def _rayleigh_ritz(q, aq, t, k: int) -> EigenPairs:
-    """Top-k Ritz pairs from the basis Q, A Q and T = Q^T A Q."""
+def _next_check(step: int, log_excess: float, last) -> int:
+    """The step of the next Rayleigh-Ritz check after one at `step` whose
+    residual must still fall by the factor exp(`log_excess`) > 1; `last`
+    is (step, log excess) of the check before it, None if there was none."""
+    if last is not None:
+        rate = (log_excess - last[1]) / (step - last[0])
+        if rate < 0:
+            ahead = math.ceil(min(_MAX_GAP, -log_excess / rate))
+            return step + max(1, ahead)
+    return step + _FIRST_GAP
+
+
+def _rayleigh_ritz(q, aq, t, k: int) -> tuple[EigenPairs, float]:
+    """Top-k Ritz pairs from the basis Q, A Q and T = Q^T A Q, and the
+    factor by which their residual must still fall to converge (<= 1 once
+    it has)."""
     theta, y = np.linalg.eigh(t)
     floor = _ROUNDOFF * max(abs(theta[0]), abs(theta[-1]))
     theta = theta[::-1][:k].copy()
@@ -225,4 +275,8 @@ def _rayleigh_ritz(q, aq, t, k: int) -> EigenPairs:
     vectors = q @ y
     worst, residual = _residual(aq @ y, vectors, theta)
     converged = residual <= KRYLOV_TOL or worst <= floor
-    return EigenPairs(theta, fix_signs(vectors), residual, 0, converged)
+    excess = residual / KRYLOV_TOL
+    if floor > 0:
+        excess = min(excess, worst / floor)
+    pairs = EigenPairs(theta, fix_signs(vectors), residual, 0, 0, converged)
+    return pairs, excess

@@ -21,18 +21,23 @@ The W step has two paths, chosen by the shape of the (d, n) input:
   M = (1 - alpha) X X^T + alpha S S^T - beta D to thin blocks through the
   (d, n) data and the (d, c) scaled cluster sums S, and `update_w` takes
   the top d' Ritz pairs from a block Krylov basis warm-started at the
-  previous W (`linalg.block_krylov_top`). No d x d array exists on this
+  previous W (`linalg.block_krylov_top`, which checks the pairs at steps
+  extrapolated from the residual's rate of fall). No d x d array exists on this
   path unless the Krylov loop stops short of its tolerance (step cap, an
   invariant basis, or a basis that would fill R^d) or its Ritz values fall
   below a lower bound on M's top d' eigenvalues (`MOperator.top_floor`);
   W then comes from the dense path instead, recorded as
-  "krylov-fallback". The PCA init takes the top left singular vectors of
-  X (thin SVD), or the dense X X^T when d' > n asks for more vectors than
-  the thin SVD has.
+  "krylov-fallback". The PCA init maps the top eigenvectors of the n x n
+  X^T X through X (`linalg.gram_eig_top`), or decomposes the dense X X^T
+  when d' > n asks for more vectors than X^T X has.
 
 The switch point d = n is where the d x d problem stops being smaller than
-the data; no benchmark workload has d > n with d near n or d small, where
-a full `eigh` may well be the faster of the two.
+the data. No benchmark workload has d > n with d near n or d small.
+Single-process solves of seeded blobs (4 outer iterations, 2 vCPUs, each
+path forced, quartiles of 9) put the matrix-free path behind only at the
+shape nearest d = n: 300 x 250 took 89-94-100 ms dense and 98-109-114 ms
+matrix-free, 800 x 700 597-608-660 and 432-441-485 ms, and 400 x 80
+111-113-125 and 59-62-65 ms.
 
 The previous W lies in the Krylov basis, so the Ritz W has Tr(W^T M W) >=
 Tr(W_prev^T M W_prev) wherever the loop stops: the W step stays an ascent
@@ -118,6 +123,7 @@ class SolverTrace:
     # How the state's W was computed (see `linalg.EigenPairs`).
     eig_path: list[str] = field(default_factory=list)
     eig_steps: list[int] = field(default_factory=list)
+    eig_checks: list[int] = field(default_factory=list)
     eig_residual: list[float] = field(default_factory=list)
     # How the state's U was chosen: centroid updates over its K-means runs
     # (row 0: the init run) and the winning restart (-1: the incumbent).
@@ -291,7 +297,8 @@ def update_w(
         if ritz.converged and ritz.values[-1] + slack >= m.top_floor(d_prime):
             return ritz
         pairs = sym_eig_top(m.dense(), d_prime)
-        pairs.path, pairs.steps = "krylov-fallback", ritz.steps
+        pairs.path = "krylov-fallback"
+        pairs.steps, pairs.checks = ritz.steps, ritz.checks
         return pairs
     return sym_eig_top(m, d_prime)
 
@@ -300,7 +307,7 @@ def _pca_init(
     x: np.ndarray, gram: np.ndarray | None, d_prime: int
 ) -> EigenPairs:
     """Top-d' eigenpairs of S_t = X X^T: from `gram` when given, else
-    from the thin SVD of X (or, when d' > n, from X X^T formed here)."""
+    from the n x n X^T X (or, when d' > n, from X X^T formed here)."""
     if gram is None and d_prime <= x.shape[1]:
         return gram_eig_top(x, d_prime)
     return update_w(x @ x.T if gram is None else gram, d_prime)
@@ -364,6 +371,7 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
         trace.rel_change.append(rel)
         trace.eig_path.append(eig.path)
         trace.eig_steps.append(eig.steps)
+        trace.eig_checks.append(eig.checks)
         trace.eig_residual.append(eig.residual)
         trace.lloyd_steps.append(steps)
         trace.u_winner.append(winner)

@@ -79,6 +79,8 @@ def test_record_trace_reports_the_eigensolver(tmp_path):
     assert tr["eig_path"] == ["dense"] + ["krylov"] * (states - 1)
     assert tr["eig_steps"][0] == 0
     assert len(tr["eig_steps"]) == len(tr["eig_residual"]) == states
+    assert tr["eig_checks"][0] == 0
+    assert min(tr["eig_checks"][1:]) >= 1
     assert max(tr["eig_residual"]) <= 1e-8
 
 
@@ -387,6 +389,22 @@ def test_grid_flag_without_value_uses_default_grid(flag):
         ["--synthetic", BLOBS, "--clusters", "3", "--out", "o", flag]
     )
     assert args.alpha == [1e-3, 1e-1, 1e1, 1e3]
+
+
+@pytest.mark.parametrize("flag", ["--p", "--grid-p"])
+def test_bare_p_flag_sweeps_a_grid_inside_its_range(tmp_path, flag):
+    out = tmp_path / "out"
+    argv = [
+        "--synthetic", BLOBS,
+        "--clusters", "3",
+        "--select", "3",
+        "--max-iter", "3",
+        "--out", str(out),
+        flag,
+    ]
+    assert main(argv) == 0
+    records = sorted(out.glob("record_gp*.json"))
+    assert [load_record(path)[1].p for path in records] == [0.5, 1.0, 1.5]
 
 
 def test_both_spellings_set_one_value_and_the_last_wins(tmp_path):

@@ -57,6 +57,24 @@ def test_krylov_agrees_with_dense_eigh_on_the_shape_ladder(shape, k):
     assert np.linalg.norm(v.T @ v - np.eye(k)) <= 1e-12
 
 
+def test_pairs_converged_as_the_basis_nears_r_d_are_not_a_fallback():
+    # d = 30, k = 10: one block step brings the basis to 20 columns, and the
+    # next block would give it 30. A's top 10 eigenvalues lie 1e8 above the
+    # rest and the start sits 1e-6 off their eigenvectors, so the start's
+    # Ritz pairs miss the tolerance and those of the 20-column basis meet
+    # it. A check comes before that block is built, so they count.
+    rng = np.random.default_rng(0)
+    basis, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+    values = np.r_[np.linspace(2e8, 1e8, 10), np.linspace(1.0, 0.0, 20)]
+    a = (basis * values) @ basis.T
+    a = (a + a.T) / 2
+    start, _ = np.linalg.qr(basis[:, :10] + 1e-6 * rng.normal(size=(30, 10)))
+    ritz = block_krylov_top(lambda v: a @ v, start)
+    assert ritz.converged
+    assert (ritz.steps, ritz.checks) == (1, 2)
+    assert np.all(np.abs(ritz.values - values[:10]) <= 1e-9 * values[:10])
+
+
 @pytest.mark.parametrize("zero_row", [False, True])
 @pytest.mark.parametrize("seed", range(10))
 def test_one_block_step_never_lowers_the_trace(seed, zero_row, monkeypatch):
@@ -215,3 +233,31 @@ def test_matrix_free_solve_holds_no_d_by_d_array():
         tracemalloc.stop()
     assert res.trace.eig_path[1:] == ["krylov"] * 3
     assert peak < 8 * 1200**2
+
+
+def test_ritz_checks_follow_the_residual_not_a_fixed_gap():
+    # A check every 4 block steps would make steps // 4 + 1 of them.
+    x = blobs(1200, 200)
+    res = solve(x, SolverConfig(alpha=1.0, beta=1.0, p=1.0, c=4, max_iter=3))
+    tr = res.trace
+    assert tr.eig_checks[0] == 0
+    assert tr.eig_path[1:] == ["krylov"] * 3
+    for steps, checks in zip(tr.eig_steps[1:], tr.eig_checks[1:]):
+        assert 2 <= checks < steps // 4 + 1
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_d_prime_equal_to_n_gives_a_finite_orthonormal_w(n):
+    # A centered X has rank n - 1, so at k = n the k-th eigenvalue of X X^T
+    # is 0 and its eigenvector lies outside range(X): X v / sqrt(lambda)
+    # would be 0 / 0 there.
+    x = centered_normal(3, 60, n)
+    pairs = gram_eig_top(x, n)
+    assert np.isfinite(pairs.vectors).all()
+    assert abs(pairs.values[-1]) <= 1e-12 * pairs.values[0]
+    assert np.linalg.norm(pairs.vectors.T @ pairs.vectors - np.eye(n)) <= 1e-12
+    assert pairs.residual <= 1e-12
+    cfg = SolverConfig(alpha=1.0, beta=1.0, p=1.0, c=2, d_prime=n, max_iter=4)
+    res = check_solve(x, cfg)
+    assert np.isfinite(res.w).all()
+    assert np.linalg.norm(res.w.T @ res.w - np.eye(n)) <= 1e-8

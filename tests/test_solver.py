@@ -275,6 +275,7 @@ def test_trace_reports_the_dense_eigensolve_per_state():
     res = solve(blob_values(0), cfg_for(seed=0))
     assert res.trace.eig_path == ["dense"] * len(res.trace)
     assert res.trace.eig_steps == [0] * len(res.trace)
+    assert res.trace.eig_checks == [0] * len(res.trace)
     assert max(res.trace.eig_residual) <= 1e-12
 
 
