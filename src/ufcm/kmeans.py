@@ -1,8 +1,26 @@
 """Indicator-matrix K-means in the transformed space.
 
 Data enters as (d', n): columns are samples already projected by the
-coefficient matrix. Centers are (d', c). The hot loops live in `_kernels`
-and run on samples-as-rows copies, made once per call.
+coefficient matrix. Centers are (d', c). The Lloyd loop runs on a
+samples-as-rows copy, made once per call: the kernels `assign_labels`,
+`centroid_sums` and `fit_value` take ``yt`` (n, k), ``centers`` (c, k) and
+``labels`` (n,) int64, and ``yt`` may be a transposed view of a
+features-by-samples matrix, which no kernel copies.
+
+Assignment expands the squared distance: ||y - c||^2 = ||y||^2 - 2 y.c +
+||c||^2, and ||y||^2 is the same for every center, so the nearest center
+minimizes ||c||^2 - 2 y.c, one matrix product per call. The scores are laid
+out cluster-major, one row of n per center, so the minimum and the index
+that attains it come from a few passes over c rows rather than from one
+short reduction per sample. Exact ties keep the lowest cluster index, as
+`np.argmin` does. A near-tie, one whose distance gap is within the rounding
+of that expansion (about 1e-16 of ||y||^2 + ||c||^2), follows the expanded
+value, which may differ from the directly computed distance.
+
+Input must be finite. `run_kmeans` and `update_u_with_candidates` reject
+data whose sum of squares is not finite, which is data with a NaN or an
+infinite entry (the error names them) or data too large to square; a NaN
+score would match no center.
 
 A Lloyd step scores itself from the cluster sums it already holds, by the
 decomposition within-cluster SS = total SS - between-cluster SS:
@@ -23,8 +41,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from . import _kernels
 
 LLOYD_MAX_STEPS = 100  # cap on centroid updates per K-means run
 
@@ -90,6 +106,55 @@ def _rows(y: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(y, dtype=np.float64).T)
 
 
+def assign_labels(yt, centers):
+    """Index of the nearest center for every row of ``yt``."""
+    c = centers.shape[0]
+    product = yt @ centers.T
+    scores = np.multiply(product.T, -2.0, order="C")  # (c, n)
+    scores += np.einsum("ij,ij->i", centers, centers)[:, None]
+    hit = scores == scores.min(axis=0)
+    # Row k ranks c - k, so the largest rank among the hits is the lowest
+    # index that attains the minimum.
+    rank = np.arange(c, 0, -1, dtype=np.min_scalar_type(c))[:, None]
+    return c - (hit * rank).max(axis=0).astype(np.int64)
+
+
+def centroid_sums(yt, labels, c):
+    """Per-cluster sums of the rows of ``yt`` as a (c, k) matrix, and the
+    per-cluster counts, via one product with the one-hot indicator."""
+    onehot = np.zeros((c, labels.size))
+    onehot[labels, np.arange(labels.size)] = 1.0
+    return onehot @ yt, np.bincount(labels, minlength=c)
+
+
+def fit_value(yt, centers, labels):
+    """Sum of squared distances of every row to its assigned center."""
+    diff = yt - centers[labels]
+    return float(np.einsum("ij,ij->", diff, diff))
+
+
+def _finite_total(yt: np.ndarray) -> float:
+    """sum_i ||y_i||^2 over the rows of ``yt``, which must be finite.
+
+    The sum is NaN or inf exactly when an entry is, or when finite entries
+    are too large to square and add; the ValueError says which.
+    """
+    total = float(np.einsum("ij,ij->", yt, yt))
+    if np.isfinite(total):
+        return total
+    bad = np.argwhere(~np.isfinite(yt.T))  # (feature, sample) pairs
+    if not bad.size:
+        raise ValueError(
+            "y's sum of squares overflows: "
+            f"max |y| = {float(np.abs(yt).max()):.3e}"
+        )
+    shown = ", ".join(f"y[{i}, {j}] = {yt[j, i]}" for i, j in bad[:3])
+    more = ", ..." if len(bad) > 3 else ""
+    raise ValueError(
+        f"y has non-finite entries ({len(bad)} of {yt.size}): {shown}{more}"
+    )
+
+
 def _repair_empty(yt, labels, center_rows, c):
     """Give each empty cluster the farthest member of the largest cluster.
 
@@ -120,7 +185,7 @@ def centroids(y: np.ndarray, indicator: IndicatorMatrix) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape[1] != indicator.n:
         raise ValueError("sample count mismatch")
-    sums, counts = _kernels.centroid_sums(
+    sums, counts = centroid_sums(
         y.T, indicator.assignments, indicator.n_clusters
     )
     if np.any(counts == 0):
@@ -144,6 +209,9 @@ def run_kmeans(y: np.ndarray, c: int, seed: int) -> KMeansResult:
     step's cluster sums (total SS - between-cluster SS), non-increasing up
     to rounding; `fit`, its last entry, is computed directly at the
     returned labels and centers. Deterministic given the seed.
+
+    Raises ValueError, naming the entries, if y has a NaN or an infinite
+    entry (see `_finite_total`).
     """
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[1]
@@ -151,7 +219,7 @@ def run_kmeans(y: np.ndarray, c: int, seed: int) -> KMeansResult:
         raise ValueError(f"cluster count {c} out of range [1, {n}]")
 
     yt = _rows(y)
-    total = float(np.einsum("ij,ij->", yt, yt))
+    total = _finite_total(yt)
     rng = np.random.default_rng(seed)
     center_rows = yt[rng.choice(n, size=c, replace=False)].copy()
 
@@ -161,19 +229,19 @@ def run_kmeans(y: np.ndarray, c: int, seed: int) -> KMeansResult:
     labels = None
     history = []
     for _ in range(LLOYD_MAX_STEPS):
-        new = _kernels.assign_labels(yt, center_rows)
+        new = assign_labels(yt, center_rows)
         new = _repair_empty(yt, new, center_rows, c)
         key = new.astype(key_type).tobytes()
         if key in visited:
             break
         visited.add(key)
         labels = new
-        sums, counts = _kernels.centroid_sums(yt, labels, c)
+        sums, counts = centroid_sums(yt, labels, c)
         center_rows = sums / counts[:, None]
         between = np.einsum("ij,ij->i", sums, sums) / counts
         history.append(total - float(between.sum()))
 
-    fit = _kernels.fit_value(yt, center_rows, labels)
+    fit = fit_value(yt, center_rows, labels)
     history[-1] = fit
     return KMeansResult(
         indicator=IndicatorMatrix(labels, c),
@@ -193,7 +261,8 @@ def update_u_with_candidates(
     ||Y - G U^T||_F^2 under its own induced centroids; the incumbent is
     scored the same way and wins ties, so the returned fit never exceeds
     the incumbent's. When the incumbent wins, its own `u_prev` object is
-    returned.
+    returned. Non-finite y raises ValueError, as in `run_kmeans`, also when
+    r = 0.
     """
     y = np.asarray(y, dtype=np.float64)
     if u_prev.n != y.shape[1]:
@@ -206,8 +275,9 @@ def update_u_with_candidates(
     # One samples-as-rows copy serves every run: `yt.T` is a view whose
     # rows are `yt` again, so `run_kmeans` takes it without copying.
     yt = _rows(y)
+    _finite_total(yt)
     inc_centers = centroids(y, u_prev)
-    inc_fit = _kernels.fit_value(yt, _rows(inc_centers), u_prev.assignments)
+    inc_fit = fit_value(yt, _rows(inc_centers), u_prev.assignments)
     best = KMeansResult(indicator=u_prev, centers=inc_centers, fit=inc_fit)
 
     winner, steps = -1, 0

@@ -54,14 +54,17 @@ Labels never enter: `solve` takes a bare ndarray.
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .kmeans import (
     IndicatorMatrix,
+    centroid_sums,
     centroids,
+    fit_value,
     run_kmeans,
     update_u_with_candidates,
 )
@@ -72,6 +75,9 @@ from .linalg import (
     require_centered,
     sym_eig_top,
 )
+
+_log = logging.getLogger(__name__)
+
 
 @dataclass
 class SolverConfig:
@@ -89,6 +95,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}"
+                )
         if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
         if self.beta < 0:
@@ -217,7 +228,7 @@ def compute_d(w: np.ndarray, p: float, eps_row: float) -> np.ndarray:
 def _terms(y, w, g, u: IndicatorMatrix, cfg: SolverConfig):
     """Scatter, fit and regularizer terms, given Y = W^T X."""
     scatter = float(np.einsum("ij,ij->", y, y))  # Tr(W^T X X^T W)
-    fit = _kernels.fit_value(
+    fit = fit_value(
         np.ascontiguousarray(y.T), np.ascontiguousarray(g.T), u.assignments
     )
     reg = float(np.sum(np.linalg.norm(w, axis=1) ** cfg.p))
@@ -268,7 +279,7 @@ def build_m(
     counts = u.counts()
     if np.any(counts == 0):
         raise ValueError("empty cluster")
-    sums, _ = _kernels.centroid_sums(x.T, u.assignments, u.n_clusters)
+    sums, _ = centroid_sums(x.T, u.assignments, u.n_clusters)
     scaled = sums.T / np.sqrt(counts)          # (d, c)
     op = MOperator(x, scaled, np.asarray(d_diag), cfg.alpha, cfg.beta)
     if gram is None and _matrix_free(*x.shape):
@@ -330,7 +341,10 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
     objective change |J_i - J_{i-1}| / (1 + |J_{i-1}|) drops below cfg.tol,
     or after cfg.max_iter iterations (converged=False, trace still full).
 
-    Deterministic: per-iteration seeds derive from cfg.seed.
+    Deterministic: per-iteration seeds derive from cfg.seed. Each traced
+    state is also logged at DEBUG level to the "ufcm.solver" logger: its
+    objective, how W was computed (eig_path, eig_steps) and how U was
+    chosen (lloyd_steps, u_winner).
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -375,6 +389,11 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
         trace.eig_residual.append(eig.residual)
         trace.lloyd_steps.append(steps)
         trace.u_winner.append(winner)
+        _log.debug(
+            "state %d: objective=%r eig_path=%s eig_steps=%d "
+            "lloyd_steps=%d u_winner=%d",
+            len(trace) - 1, obj, eig.path, eig.steps, steps, winner,
+        )
         return rel
 
     record(0)

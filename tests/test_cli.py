@@ -341,6 +341,10 @@ DIM_TOO_BIG = "--dim 9 (default: --clusters) exceeds feature count 8"
     [
         pytest.param(["--clusters", "0"], "c must be >= 1", id="clusters"),
         pytest.param(["--alpha", "-1"], "alpha must be > 0", id="alpha"),
+        pytest.param(
+            ["--alpha", "inf"], "alpha must be finite", id="alpha-inf"
+        ),
+        pytest.param(["--beta", "nan"], "beta must be finite", id="beta-nan"),
         pytest.param(["--p", "3"], "p must lie in (0, 2)", id="p"),
         pytest.param(["--tol", "0"], "tol must be > 0", id="tol"),
         pytest.param(["--dim", "0"], "d_prime must be >= 1", id="dim"),

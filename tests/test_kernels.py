@@ -1,4 +1,4 @@
-"""The K-means kernels against plain-loop references.
+"""The K-means kernels of `ufcm.kmeans` against plain-loop references.
 
 `assign_labels` ranks centers by the expanded distance ||c||^2 - 2 y.c, so
 its labels equal the loop's argmin of the direct distance wherever the gap
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ufcm import _kernels
+from ufcm import kmeans
 
 GAP = 1e-9  # relative to ||y||^2 + max ||c||^2, the scale of the rounding
 
@@ -36,7 +36,7 @@ def loop_sums(yt, labels, c):
 
 
 def check_labels_against_loop(yt, centers):
-    labels = _kernels.assign_labels(yt, centers)
+    labels = kmeans.assign_labels(yt, centers)
     d2 = loop_distances(yt, centers)
     assert labels.shape == (yt.shape[0],)
     if centers.shape[0] == 1:
@@ -55,7 +55,7 @@ def check_labels_against_loop(yt, centers):
 
 
 def check_sums_against_loop(yt, labels, c):
-    sums, counts = _kernels.centroid_sums(yt, labels, c)
+    sums, counts = kmeans.centroid_sums(yt, labels, c)
     ref_sums, ref_counts = loop_sums(yt, labels, c)
     assert np.array_equal(counts, ref_counts)
     # Relative to the members' absolute sum: summation order may differ.
@@ -81,8 +81,8 @@ def test_assign_labels_accepts_column_major_rows():
     yt, centers, _ = instance(7, n=50)
     columns = np.asfortranarray(yt)  # same values, column-major storage
     assert np.array_equal(
-        _kernels.assign_labels(columns, centers),
-        _kernels.assign_labels(yt, centers),
+        kmeans.assign_labels(columns, centers),
+        kmeans.assign_labels(yt, centers),
     )
 
 
@@ -97,7 +97,7 @@ def test_assign_labels_accepts_column_major_rows():
 )
 def test_exact_tie_goes_to_lowest_index(point, centers, expected):
     yt = np.array([point])
-    assert _kernels.assign_labels(yt, np.array(centers))[0] == expected
+    assert kmeans.assign_labels(yt, np.array(centers))[0] == expected
 
 
 def test_near_tie_follows_expanded_distance():
@@ -110,7 +110,7 @@ def test_near_tie_follows_expanded_distance():
     assert np.argmin(loop_distances(yt, centers)[0]) == 1
     expanded = np.einsum("ij,ij->i", centers, centers) - 2.0 * (yt @ centers.T)
     assert expanded[0, 0] == expanded[0, 1]
-    assert _kernels.assign_labels(yt, centers)[0] == 0
+    assert kmeans.assign_labels(yt, centers)[0] == 0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -127,7 +127,7 @@ def test_centroid_sums_of_a_transposed_view_match_loop():
 
 def test_centroid_sums_empty_cluster_counts_zero():
     yt = np.arange(6.0).reshape(3, 2)
-    sums, counts = _kernels.centroid_sums(yt, np.array([0, 2, 0]), 4)
+    sums, counts = kmeans.centroid_sums(yt, np.array([0, 2, 0]), 4)
     assert counts.tolist() == [2, 0, 1, 0]
     assert sums.tolist() == [[4.0, 6.0], [0.0, 0.0], [2.0, 3.0], [0.0, 0.0]]
 
@@ -139,7 +139,7 @@ def test_fit_value_matches_loop(seed):
     for i, lab in enumerate(labels):
         for m in range(yt.shape[1]):
             ref += (yt[i, m] - centers[lab, m]) ** 2
-    assert _kernels.fit_value(yt, centers, labels) == pytest.approx(
+    assert kmeans.fit_value(yt, centers, labels) == pytest.approx(
         ref, rel=1e-13
     )
 
@@ -162,3 +162,68 @@ def test_kernels_match_loops_on_random_shapes(inputs):
     yt, centers, labels = inputs
     check_labels_against_loop(yt, centers)
     check_sums_against_loop(yt, labels, centers.shape[0])
+
+
+def row_wise_scores(yt, centers):
+    """The (n, c) expanded scores as a row-wise kernel computes them."""
+    scores = yt @ centers.T
+    scores *= -2.0
+    scores += np.einsum("ij,ij->i", centers, centers)
+    return scores
+
+
+@st.composite
+def assignment_inputs(draw):
+    """Inputs on which the labels hang on exact ties or on rounding.
+
+    Either every value sits on a grid of quarters, so exact ties are
+    common, or each row lies on the bisector of two random centers, so its
+    two scores tie up to rounding and the label follows the last bits of
+    the product, which depend on the GEMM's operand order. Centers repeat
+    wherever the drawn row indices do, and c spans the width at which the
+    rank dtype grows past one byte (255 | 256). Values come from a drawn
+    seed, which keeps c = 257 cheap to draw.
+    """
+    n = draw(st.integers(1, 300))
+    k = draw(st.integers(1, 40))
+    c = draw(st.one_of(st.integers(1, 20), st.sampled_from([255, 256, 257])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    on_grid = draw(st.booleans())
+    levels = draw(st.integers(1, 8))  # grid points either side of 0
+    if on_grid:
+        pool = rng.integers(-levels, levels + 1, size=(c, k)) / 4.0
+    else:
+        pool = rng.normal(size=(c, k))
+    centers = pool[rng.integers(0, c, size=c)]
+    if on_grid:
+        yt = rng.integers(-levels, levels + 1, size=(n, k)) / 4.0
+    else:
+        a, b = rng.integers(0, c, size=(2, n))
+        gap = centers[a] - centers[b]
+        norm2 = np.maximum(np.einsum("ij,ij->i", gap, gap), 1e-300)
+        v = rng.normal(size=(n, k))
+        v -= (np.einsum("ij,ij->i", v, gap) / norm2)[:, None] * gap
+        yt = (centers[a] + centers[b]) / 2.0 + v
+    if draw(st.booleans()):
+        yt = np.asfortranarray(yt)
+    return yt, centers
+
+
+@settings(max_examples=300, deadline=None)
+@given(assignment_inputs())
+def test_assign_labels_equals_argmin_of_row_wise_scores(inputs):
+    yt, centers = inputs
+    labels = kmeans.assign_labels(yt, centers)
+    assert labels.dtype == np.int64
+    assert np.array_equal(
+        labels, np.argmin(row_wise_scores(yt, centers), axis=1)
+    )
+
+
+@pytest.mark.parametrize("c", [1, 2, 255, 256, 257])
+def test_all_centers_tied_gives_index_0(c):
+    # Every row of the score array attains the minimum, so the winning
+    # rank is row 0's, c itself: it must fit the rank dtype.
+    yt = np.array([[0.0, 1.0], [2.0, -1.0]])
+    centers = np.tile([1.0, 0.0], (c, 1))
+    assert kmeans.assign_labels(yt, centers).tolist() == [0, 0]

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ufcm import _kernels, kmeans
+from ufcm import kmeans
 from ufcm.kmeans import (
     IndicatorMatrix,
     _repair_empty,
@@ -190,14 +190,14 @@ def oracle_kmeans(y, c, seed, max_iter=100):
     labels = None
     history = []
     for _ in range(max_iter):
-        new = _kernels.assign_labels(yt, center_rows)
+        new = kmeans.assign_labels(yt, center_rows)
         new = _repair_empty(yt, new, center_rows, c)
         if labels is not None and np.array_equal(new, labels):
             break
         labels = new
-        sums, counts = _kernels.centroid_sums(yt, labels, c)
+        sums, counts = kmeans.centroid_sums(yt, labels, c)
         center_rows = sums / counts[:, None]
-        history.append(_kernels.fit_value(yt, center_rows, labels))
+        history.append(kmeans.fit_value(yt, center_rows, labels))
     return labels, center_rows.T.copy(), history
 
 
@@ -206,7 +206,7 @@ def oracle_update_u(y, u_prev, c, r, seed):
     Lloyd steps of all restarts, with the oracle's loop."""
     yt = np.ascontiguousarray(y.T)
     inc = np.ascontiguousarray(centroids(y, u_prev).T)
-    best = _kernels.fit_value(yt, inc, u_prev.assignments)
+    best = kmeans.fit_value(yt, inc, u_prev.assignments)
     winner, steps = -1, 0
     for i, s in enumerate(np.random.SeedSequence(seed).generate_state(r)):
         _, _, history = oracle_kmeans(y, c, int(s))
@@ -295,3 +295,30 @@ def test_update_u_picks_the_direct_fit_loops_winner(make, c):
             assert res.indicator is not u_prev
         winners.append(winner)
     assert -1 in winners and max(winners) >= 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_run_kmeans_rejects_non_finite_entries(bad):
+    y = np.random.default_rng(0).normal(size=(3, 40))
+    y[1, 7] = bad
+    with pytest.raises(
+        ValueError,
+        match=rf"non-finite entries \(1 of 120\): y\[1, 7\] = {bad}$",
+    ):
+        run_kmeans(y, 3, seed=0)
+
+
+@pytest.mark.parametrize("r", [0, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_update_u_rejects_non_finite_entries(bad, r):
+    y = np.random.default_rng(1).normal(size=(2, 30))
+    u_prev = run_kmeans(y, 3, seed=0).indicator
+    y[0, 3] = y[1, 20] = bad
+    with pytest.raises(ValueError, match=r"\(2 of 60\): y\[0, 3\] = "):
+        update_u_with_candidates(y, u_prev, 3, r=r, seed=1)
+
+
+def test_run_kmeans_rejects_data_too_large_to_square():
+    y = 1e200 * np.random.default_rng(2).normal(size=(2, 10))
+    with pytest.raises(ValueError, match="sum of squares overflows"):
+        run_kmeans(y, 2, seed=0)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,13 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             cfg_for(**bad)
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite_weights(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        cfg_for(**{field: value})
 
 
 def test_objective_matches_loop_oracle():
@@ -371,6 +380,21 @@ def test_solve_non_convergence_returns_full_trace():
     assert len(res.trace) == 3
 
 
+
+def test_solve_logs_one_debug_line_per_state(caplog, capsys):
+    caplog.set_level(logging.DEBUG, logger="ufcm.solver")
+    res = solve(blob_values(7, n_per_cluster=10, d_noise=5), cfg_for(seed=0))
+    records = [r for r in caplog.records if r.name == "ufcm.solver"]
+    assert len(records) == len(res.trace)
+    t = res.trace
+    for i, rec in enumerate(records):
+        assert rec.levelno == logging.DEBUG
+        assert rec.getMessage() == (
+            f"state {i}: objective={t.objective[i]!r} "
+            f"eig_path={t.eig_path[i]} eig_steps={t.eig_steps[i]} "
+            f"lloyd_steps={t.lloyd_steps[i]} u_winner={t.u_winner[i]}"
+        )
+    assert capsys.readouterr().out == ""
 @st.composite
 def small_problems(draw):
     """Centered Gaussian data with a solver config to match.
