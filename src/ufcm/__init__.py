@@ -39,7 +39,6 @@ from .solver import (
     SolverTrace,
     build_m,
     compute_d,
-    objective,
     solve,
     update_g,
     update_w,
@@ -68,7 +67,6 @@ __all__ = [
     "make_blobs",
     "max_variance_ranking",
     "nmi",
-    "objective",
     "rank_features",
     "run_kmeans",
     "select",

@@ -74,10 +74,10 @@ class ExperimentSpec:
     p: list[float] = field(default_factory=lambda: [1.0])
     dim: int | None = None
     select_counts: list[int] | None = None
-    restarts: int = 10
-    max_iter: int = 50
-    tol: float = 1e-6
-    seed: int = 0
+    restarts: int = SolverConfig.r
+    max_iter: int = SolverConfig.max_iter
+    tol: float = SolverConfig.tol
+    seed: int = SolverConfig.seed
     eval_runs: int = 5
     jobs: int = 1
     scale: bool = False
@@ -93,6 +93,8 @@ class ExperimentSpec:
         if self.select_counts is not None:
             if not self.select_counts or min(self.select_counts) < 1:
                 raise UsageError("--select values must be positive")
+            if len(set(self.select_counts)) != len(self.select_counts):
+                raise UsageError("--select values must be distinct")
         if self.eval_runs < 1:
             raise UsageError("--eval-runs must be >= 1")
         if self.jobs != 1:
@@ -178,10 +180,14 @@ def _prepare(data: DataMatrix, scale: bool) -> DataMatrix:
     if scale:
         std = prepared.values.std(axis=1)
         std[std == 0.0] = 1.0
-        prepared = DataMatrix(
-            prepared.values / std[:, None],
-            feature_names=prepared.feature_names,
-            labels=prepared.labels,
+        # Centered again: dividing by a tiny std scales the centering
+        # residue up past `solve`'s centering check.
+        prepared = center(
+            DataMatrix(
+                prepared.values / std[:, None],
+                feature_names=prepared.feature_names,
+                labels=prepared.labels,
+            )
         )
     return prepared
 
@@ -302,19 +308,15 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
         raise UsageError(
             f"--select {max(spec.select_counts)} exceeds feature count {raw.d}"
         )
-    d_prime = spec.dim if spec.dim is not None else spec.clusters
-    if d_prime > raw.d:
-        raise UsageError(
-            f"--dim {d_prime} (default: --clusters) exceeds feature count {raw.d}"
-        )
-    if spec.clusters > raw.n:
-        raise UsageError(
-            f"--clusters {spec.clusters} exceeds sample count {raw.n}"
-        )
+    configs = spec.solver_configs()
+    try:
+        configs[0].d_prime_for(raw.d, raw.n)  # d' and c are grid-wide
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     data = _prepare(raw, spec.scale)
 
     rows = []
-    for gi, cfg in enumerate(spec.solver_configs()):
+    for gi, cfg in enumerate(configs):
         rows.extend(_run_grid_point(data, spec, source, gi, cfg))
 
     # Every grid point has at least one row, all with the same keys.
@@ -388,7 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
     parser.add_argument("--clusters", type=int, required=True)
     parser.add_argument(
-        "--dim", type=int, help="projection dimension d' (default: clusters)"
+        "--dim",
+        type=int,
+        help="projection dimension d' (default: clusters; resolved by "
+        "SolverConfig.d_prime_for)",
     )
     parser.add_argument(
         "--select",
@@ -397,10 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_comma_ints,
         help="comma list of selected-feature counts (default: all features)",
     )
-    parser.add_argument("--restarts", type=int, default=10)
-    parser.add_argument("--max-iter", type=int, default=50)
-    parser.add_argument("--tol", type=float, default=1e-6)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--restarts", type=int, default=SolverConfig.r)
+    parser.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    parser.add_argument("--tol", type=float, default=SolverConfig.tol)
+    parser.add_argument("--seed", type=int, default=SolverConfig.seed)
     parser.add_argument("--eval-runs", type=int, default=5)
     parser.add_argument(
         "--scale",

@@ -81,7 +81,8 @@ _log = logging.getLogger(__name__)
 
 @dataclass
 class SolverConfig:
-    """Solver hyperparameters. d_prime defaults to c when left as None."""
+    """Solver hyperparameters, validated when built. d_prime = None means
+    d' = c; `d_prime_for` is the one place d' is resolved."""
 
     alpha: float
     beta: float
@@ -118,6 +119,16 @@ class SolverConfig:
             raise ValueError("tol must be > 0")
         if not self.eps_row > 0:
             raise ValueError("eps_row must be > 0")
+
+    def d_prime_for(self, d: int, n: int) -> int:
+        """d' for a (d, n) input: d_prime, or c when it is None.
+        Raises ValueError when d' > d or c > n."""
+        d_prime = self.d_prime if self.d_prime is not None else self.c
+        if d_prime > d:
+            raise ValueError(f"d_prime={d_prime} exceeds feature count {d}")
+        if self.c > n:
+            raise ValueError(f"c={self.c} exceeds sample count {n}")
+        return d_prime
 
 
 @dataclass
@@ -211,48 +222,13 @@ def _matrix_free(d: int, n: int) -> bool:
     return d > n
 
 
-def compute_d(w: np.ndarray, p: float, eps_row: float) -> np.ndarray:
+def compute_d(w: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     """Reweighting diagonal from W's row norms: (p/2) ||w^i||^(p-2).
 
-    p must lie in (0, 2), as in `SolverConfig`. Row norms are floored at
-    eps_row so zero rows stay finite.
+    Row norms are floored at cfg.eps_row so zero rows stay finite.
     """
-    if not 0.0 < p < 2.0:
-        raise ValueError("p must lie in (0, 2)")
-    if not eps_row > 0:
-        raise ValueError("eps_row must be > 0")
-    norms = np.maximum(np.linalg.norm(w, axis=1), eps_row)
-    return 1.0 / ((2.0 / p) * norms ** (2.0 - p))
-
-
-def _terms(y, w, g, u: IndicatorMatrix, cfg: SolverConfig):
-    """Scatter, fit and regularizer terms, given Y = W^T X."""
-    scatter = float(np.einsum("ij,ij->", y, y))  # Tr(W^T X X^T W)
-    fit = fit_value(
-        np.ascontiguousarray(y.T), np.ascontiguousarray(g.T), u.assignments
-    )
-    reg = float(np.sum(np.linalg.norm(w, axis=1) ** cfg.p))
-    return scatter, fit, reg
-
-
-def objective(
-    x: np.ndarray,
-    w: np.ndarray,
-    g: np.ndarray,
-    u: IndicatorMatrix,
-    cfg: SolverConfig,
-) -> float:
-    """Tr(W^T S_t W) - alpha ||W^T X - G U^T||_F^2 - beta sum_i ||w^i||^p."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if w.shape[0] != x.shape[0] or g.shape[0] != w.shape[1]:
-        raise ValueError("inconsistent shapes for x, w, g")
-    if g.shape[1] != u.n_clusters or u.n != x.shape[1]:
-        raise ValueError("indicator does not match x and g")
-    require_centered(x)
-    scatter, fit, reg = _terms(w.T @ x, w, g, u, cfg)
-    return scatter - cfg.alpha * fit - cfg.beta * reg
+    norms = np.maximum(np.linalg.norm(w, axis=1), cfg.eps_row)
+    return 1.0 / ((2.0 / cfg.p) * norms ** (2.0 - cfg.p))
 
 
 def build_m(
@@ -351,11 +327,7 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
         raise ValueError("x must be a (d, n) matrix")
     d, n = x.shape
     require_centered(x)
-    d_prime = cfg.d_prime if cfg.d_prime is not None else cfg.c
-    if d_prime > d:
-        raise ValueError(f"d_prime={d_prime} exceeds feature count {d}")
-    if cfg.c > n:
-        raise ValueError(f"c={cfg.c} exceeds sample count {n}")
+    d_prime = cfg.d_prime_for(d, n)
 
     gram = None if _matrix_free(d, n) else x @ x.T
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.max_iter + 1)
@@ -370,7 +342,12 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
     trace = SolverTrace()
 
     def record(changes: int):
-        scatter, fit, reg = _terms(y, w, g, u, cfg)
+        """Trace the current state; the one place J is formed."""
+        scatter = float(np.einsum("ij,ij->", y, y))  # Tr(W^T X X^T W)
+        fit = fit_value(
+            np.ascontiguousarray(y.T), np.ascontiguousarray(g.T), u.assignments
+        )
+        reg = float(np.sum(np.linalg.norm(w, axis=1) ** cfg.p))
         obj = scatter - cfg.alpha * fit - cfg.beta * reg
         prev = trace.objective[-1] if trace.objective else None
         rel = np.inf if prev is None else abs(obj - prev) / (1.0 + abs(prev))
@@ -401,7 +378,7 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
     converged = False
     iterations = 0
     for i in range(1, cfg.max_iter + 1):
-        d_diag = compute_d(w, cfg.p, cfg.eps_row)
+        d_diag = compute_d(w, cfg)
         km = update_u_with_candidates(y, u, cfg.c, cfg.r, int(seeds[i]))
         changes = int(
             np.count_nonzero(km.indicator.assignments != u.assignments)

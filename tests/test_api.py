@@ -13,6 +13,7 @@ DELETED = [
     "assign",
     "l2p_norm",
     "labeled_scatters",
+    "objective",
     "pca_init",
     "total_scatter",
 ]

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ufcm.cli import (
@@ -15,7 +16,7 @@ from ufcm.cli import (
     main,
     run_experiment,
 )
-from ufcm.dataset import make_blobs, write_csv
+from ufcm.dataset import DataMatrix, make_blobs, write_csv
 from ufcm.solver import SolverConfig, SolverTrace, solve
 
 BLOBS = (
@@ -257,6 +258,43 @@ def test_csv_record_digest_is_sha256_of_the_file(tmp_path):
     assert record["source"]["sha256"] == expected
 
 
+def test_scale_gives_centered_unit_variance_features(tmp_path, monkeypatch):
+    # A feature of 1e6 + 1e-6 N(0, 1) has a std near 1e-6: dividing by it
+    # scales the ~1e-10 residue of centering up to ~1e-4, which fails
+    # `solve`'s centering check unless the scaled data is centered again.
+    blobs = make_blobs(15, 3, 3, 5, separation=4.0, noise_scale=1.0, seed=2)
+    rng = np.random.default_rng(0)
+    tiny = 1e6 + 1e-6 * rng.normal(size=blobs.n)
+    constant = np.full(blobs.n, 2.5)
+    values = np.vstack([blobs.values, tiny, constant])
+    csv_path = tmp_path / "data.csv"
+    write_csv(DataMatrix(values, labels=blobs.labels), csv_path)
+    solved = []
+
+    def spy(x, cfg):
+        solved.append(x)
+        return solve(x, cfg)
+
+    monkeypatch.setattr("ufcm.cli.solve", spy)
+    out = tmp_path / "out"
+    argv = [
+        "--input", str(csv_path),
+        "--label-column", "label",
+        "--clusters", "3",
+        "--select", "3",
+        "--max-iter", "3",
+        "--scale",
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    (x,) = solved
+    assert np.abs(x.mean(axis=1)).max() <= 1e-12
+    assert np.allclose(x[:-1].std(axis=1), 1.0, rtol=1e-12)
+    assert np.array_equal(x[-1], np.zeros(blobs.n))
+    record, _ = load_record(out / "record_gp000.json")
+    assert record["preprocessing"] == {"centered": True, "unit_variance": True}
+
+
 def test_unlabeled_csv_skips_evaluation(tmp_path):
     data = make_blobs(12, 2, 2, 3, separation=4.0, noise_scale=1.0, seed=1)
     unlabeled = type(data)(data.values)  # drop labels
@@ -309,6 +347,8 @@ def test_bad_synthetic_spec_is_usage_error(tmp_path):
         BLOBS.replace("n_per_cluster=15", "n_per_cluster=abc"),
         BLOBS.replace("n_per_cluster=15", "n_per_cluster=0"),
         BLOBS.replace("separation=4.0", "separation=-1"),
+        BLOBS + ",radius=1",  # unknown key
+        BLOBS.replace(",noise_scale=1.0", ""),  # missing key
     ):
         argv = ["--synthetic", spec, "--clusters", "2"]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2, spec
@@ -333,7 +373,7 @@ def test_select_beyond_feature_count_is_usage_error_before_solving(
     assert "--select 50 exceeds feature count 8" in capsys.readouterr().err
 
 
-DIM_TOO_BIG = "--dim 9 (default: --clusters) exceeds feature count 8"
+DIM_TOO_BIG = "d_prime=9 exceeds feature count 8"
 
 
 @pytest.mark.parametrize(
@@ -359,7 +399,7 @@ DIM_TOO_BIG = "--dim 9 (default: --clusters) exceeds feature count 8"
         pytest.param(["--clusters", "9"], DIM_TOO_BIG, id="clusters-over-d"),
         pytest.param(
             ["--clusters", "46", "--dim", "2"],
-            "--clusters 46 exceeds sample count 45",
+            "c=46 exceeds sample count 45",
             id="clusters-over-n",
         ),
     ],
@@ -452,6 +492,12 @@ def test_spec_validation():
         ExperimentSpec(out="o", clusters=3, synthetic=BLOBS, alpha=[])
     with pytest.raises(UsageError):
         ExperimentSpec(out="o", clusters=3, synthetic=BLOBS, eval_runs=0)
+    with pytest.raises(UsageError, match="positive"):
+        ExperimentSpec(out="o", clusters=3, synthetic=BLOBS, select_counts=[0])
+    with pytest.raises(UsageError, match="distinct"):
+        ExperimentSpec(
+            out="o", clusters=3, synthetic=BLOBS, select_counts=[3, 3]
+        )
     with pytest.raises(UsageError, match="--label-column"):
         ExperimentSpec(
             out="o", clusters=3, synthetic=BLOBS, label_column="label"

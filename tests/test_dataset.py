@@ -51,6 +51,10 @@ def test_load_csv_with_label_column(tmp_path):
     assert dm.feature_names == ["a", "b"]
     assert dm.labels.tolist() == [0, 1, 0]
     assert dm.values[:, 2].tolist() == [5.0, 6.0]
+    with pytest.raises(CsvFormatError, match="no column named 'species'"):
+        load_csv(path, label_column="species")
+    with pytest.raises(CsvFormatError, match="index 3 out of range for 3"):
+        load_csv(path, label_column=3)
 
 
 def test_load_csv_label_by_index_without_header(tmp_path):
@@ -59,6 +63,8 @@ def test_load_csv_label_by_index_without_header(tmp_path):
     dm = load_csv(path, label_column=2)
     assert dm.d == 2 and dm.n == 2
     assert dm.labels.tolist() == [0, 1]
+    with pytest.raises(CsvFormatError, match="by name but the file has no"):
+        load_csv(path, label_column="cls")
 
 
 def test_load_csv_blank_cell_names_row_and_column(tmp_path):
@@ -73,6 +79,12 @@ def test_load_csv_bad_cell_names_row_and_column(tmp_path):
     path.write_text("1.0,2.0\noops,4.0\n")
     with pytest.raises(CsvFormatError, match=r"row 2, column 0"):
         load_csv(path)
+    # The rescan skips the label column and names the bad cell past it.
+    path.write_text("a,cls,b\n1.0,x,2.0\n3.0,y,oops\n")
+    with pytest.raises(
+        CsvFormatError, match=r"row 3, column 'b': cannot parse 'oops'"
+    ):
+        load_csv(path, label_column="cls")
 
 
 def test_load_csv_ragged_row(tmp_path):
@@ -148,6 +160,9 @@ def test_load_csv_header_only_is_no_data_and_warns_nothing(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(CsvFormatError, match="no data rows"):
+            load_csv(path)
+        path.write_text("\n\n")
+        with pytest.raises(CsvFormatError, match="empty file"):
             load_csv(path)
 
 

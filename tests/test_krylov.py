@@ -36,7 +36,7 @@ def first_w_step(d, n, k, c=4):
     w = gram_eig_top(x, k).vectors
     u = run_kmeans(w.T @ x, c, 0).indicator
     cfg = SolverConfig(alpha=1.0, beta=1.0, p=1.0, c=c, d_prime=k)
-    return build_m(x, u, compute_d(w, cfg.p, cfg.eps_row), cfg), w
+    return build_m(x, u, compute_d(w, cfg), cfg), w
 
 
 @pytest.mark.parametrize("k", [1, 4, 10])
@@ -161,7 +161,7 @@ def test_rank_deficient_w_step_matches_dense_eigh(alpha, d_prime):
     )
     start = sym_eig_top(x @ x.T, d_prime).vectors
     u = run_kmeans(start.T @ x, 2, 0).indicator
-    op = build_m(x, u, compute_d(start, cfg.p, cfg.eps_row), cfg)
+    op = build_m(x, u, compute_d(start, cfg), cfg)
     m = op.dense()
     got = update_w(op, d_prime, start)
     want = sym_eig_top(m, d_prime)
@@ -188,7 +188,7 @@ def test_top_floor_bounds_the_dense_eigenvalues(seed):
     w = sym_eig_top(x @ x.T, 2).vectors
     w[0] = 0.0  # a zero row: D there is floored to 5e7
     u = run_kmeans(w.T @ x, 2, 0).indicator
-    op = build_m(x, u, compute_d(w, cfg.p, cfg.eps_row), cfg)
+    op = build_m(x, u, compute_d(w, cfg), cfg)
     values = np.linalg.eigvalsh(op.dense())[::-1]
     slack = 1e-12 * np.abs(values).max()
     for k in range(1, d - n + 2):

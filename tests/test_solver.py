@@ -13,7 +13,6 @@ from ufcm.solver import (
     SolverConfig,
     build_m,
     compute_d,
-    objective,
     solve,
     update_g,
     update_w,
@@ -38,18 +37,12 @@ def cfg_for(alpha=1.0, beta=1.0, p=1.0, c=3, **kw):
 
 def test_compute_d_unit_row_p1():
     w = np.array([[1.0, 0.0]])
-    assert compute_d(w, p=1.0, eps_row=1e-8)[0] == pytest.approx(0.5)
-
-
-def test_compute_d_rejects_p2(rng):
-    w = rng.normal(size=(4, 2))
-    with pytest.raises(ValueError, match=r"p must lie in \(0, 2\)"):
-        compute_d(w, p=2.0, eps_row=1e-8)
+    assert compute_d(w, cfg_for(p=1.0))[0] == pytest.approx(0.5)
 
 
 def test_compute_d_zero_row_floored():
     w = np.array([[0.0, 0.0], [3.0, 4.0]])
-    d = compute_d(w, p=1.0, eps_row=1e-8)
+    d = compute_d(w, cfg_for(p=1.0, eps_row=1e-8))
     assert d[0] == pytest.approx(1.0 / (2.0 * 1e-8))
     assert d[1] == pytest.approx(0.5 / 5.0)
     assert np.isfinite(d).all() and (d > 0).all()
@@ -79,9 +72,10 @@ def test_config_rejects_non_finite_weights(field, value):
 
 
 def test_objective_matches_loop_oracle():
-    x, u, w, _ = small_instance(0)
-    cfg = cfg_for(alpha=0.7, beta=1.3, p=0.8)
-    g = update_g(w.T @ x, u)
+    x = small_instance(0)[0]
+    cfg = cfg_for(alpha=0.7, beta=1.3, p=0.8, d_prime=2, seed=0, max_iter=2)
+    res = solve(x, cfg)
+    w, g, u = res.w, res.g, res.u
 
     scatter = 0.0
     fit = 0.0
@@ -95,7 +89,7 @@ def test_objective_matches_loop_oracle():
         reg += float(sum(w[i, k] ** 2 for k in range(w.shape[1]))) ** (cfg.p / 2)
     expected = scatter - cfg.alpha * fit - cfg.beta * reg
 
-    assert objective(x, w, g, u, cfg) == pytest.approx(expected, abs=1e-10)
+    assert res.trace.objective[-1] == pytest.approx(expected, abs=1e-10)
 
 
 def test_objective_zero_residual_singletons(rng):
@@ -103,18 +97,13 @@ def test_objective_zero_residual_singletons(rng):
     # beta=0 objective is exactly the projected scatter.
     x = rng.normal(size=(3, 5))
     x -= x.mean(axis=1, keepdims=True)
-    w = random_orthonormal(rng, 3, 3)
-    u = IndicatorMatrix(np.arange(5), 5)
-    g = w.T @ x
-    cfg = cfg_for(alpha=2.0, beta=0.0, c=5)
+    cfg = cfg_for(alpha=2.0, beta=0.0, c=5, d_prime=3, seed=0, max_iter=2)
+    res = solve(x, cfg)
+    w = res.w
+    assert sorted(res.u.assignments) == list(range(5))
+    assert np.array_equal(res.g, update_g(w.T @ x, res.u))
     expected = float(np.trace(w.T @ (x @ x.T) @ w))
-    assert objective(x, w, g, u, cfg) == pytest.approx(expected, rel=1e-12)
-
-
-def test_objective_shape_checks(rng):
-    x, u, w, _ = small_instance(1)
-    with pytest.raises(ValueError):
-        objective(x, w, np.zeros((w.shape[1] + 1, u.n_clusters)), u, cfg_for())
+    assert res.trace.objective[-1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_build_m_alpha_terms_cancel_when_projector_is_identity(rng):
@@ -202,7 +191,7 @@ def test_substitution_identity_50_instances():
             p=float(rng.uniform(0.3, 1.8)),
             c=c,
         )
-        d_diag = compute_d(w, cfg.p, cfg.eps_row)
+        d_diag = compute_d(w, cfg)
         g = update_g(w.T @ x, u)
 
         y = w.T @ x
@@ -355,13 +344,10 @@ def test_solve_rejects_uncentered():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_solve_and_objective_reject_non_finite(bad):
-    x, u, w, _ = small_instance(5)
-    g = update_g(w.T @ x, u)
+    x = small_instance(5)[0]
     x[2, 7] = bad
     with pytest.raises(ValueError, match="non-finite"):
         solve(x, cfg_for())
-    with pytest.raises(ValueError, match="non-finite"):
-        objective(x, w, g, u, cfg_for())
 
 
 def test_solve_validates_dimensions():
