@@ -29,6 +29,7 @@ import csv
 import hashlib
 import itertools
 import json
+import logging
 import math
 import sys
 import time
@@ -47,6 +48,8 @@ BARE_GRIDS = {
     "beta": "1e-3,1e-1,1e1,1e3",
     "p": "0.5,1,1.5",
 }
+
+_log = logging.getLogger(__name__)
 
 _BLOB_KEYS = {
     "n_per_cluster": int,
@@ -239,6 +242,10 @@ def _run_grid_point(data, spec, source, gi, cfg) -> list[dict]:
             )
             evaluation[str(m)] = dict(stats._asdict())
     eval_s = time.perf_counter() - t0
+    _log.debug(
+        "grid point %d: alpha=%r beta=%r p=%r solve_s=%.3f evaluate_s=%.3f",
+        gi, cfg.alpha, cfg.beta, cfg.p, solve_s, eval_s,
+    )
 
     # JSON has no inf or nan: each non-finite float is written as null.
     trace = {
@@ -301,8 +308,6 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     Returns the summary rows, in grid order. Each grid point writes its own
     record and trace as it finishes; the summary is written after the last.
     """
-    out = Path(spec.out)
-    out.mkdir(parents=True, exist_ok=True)
     raw, source = _load_data(spec)
     if spec.select_counts and max(spec.select_counts) > raw.d:
         raise UsageError(
@@ -312,7 +317,15 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     try:
         configs[0].d_prime_for(raw.d, raw.n)  # d' and c are grid-wide
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        # The solver words d' as d_prime, which a user who left --dim
+        # unset never passed.
+        defaulted = spec.dim is None and spec.clusters > raw.d
+        hint = " (--dim defaults to --clusters)" if defaulted else ""
+        raise UsageError(f"{exc}{hint}") from exc
+    # Made only once the input passed every usage check, so that an exit 2
+    # leaves no empty directory behind.
+    out = Path(spec.out)
+    out.mkdir(parents=True, exist_ok=True)
     data = _prepare(raw, spec.scale)
 
     rows = []

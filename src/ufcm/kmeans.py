@@ -1,21 +1,24 @@
 """Indicator-matrix K-means in the transformed space.
 
 Data enters as (d', n): columns are samples already projected by the
-coefficient matrix. Centers are (d', c). The Lloyd loop runs on a
-samples-as-rows copy, made once per call: the kernels `assign_labels`,
-`centroid_sums` and `fit_value` take ``yt`` (n, k), ``centers`` (c, k) and
-``labels`` (n,) int64, and ``yt`` may be a transposed view of a
-features-by-samples matrix, which no kernel copies.
+coefficient matrix, the layout the solver holds. The kernels
+`assign_labels`, `centroid_sums`, `fit_value` and `_repair_empty` take it
+as it is: no samples-as-rows copy is made. `run_kmeans` and
+`update_u_with_candidates` make a non-contiguous input C-contiguous once
+per call, so every product runs on one memory layout and a view gives the
+bits its copy gives. Center rows are (c, d'); `centers` in a result and
+`fit_value`'s centers are (d', c), like G.
 
 Assignment expands the squared distance: ||y - c||^2 = ||y||^2 - 2 y.c +
 ||c||^2, and ||y||^2 is the same for every center, so the nearest center
-minimizes ||c||^2 - 2 y.c, one matrix product per call. The scores are laid
-out cluster-major, one row of n per center, so the minimum and the index
-that attains it come from a few passes over c rows rather than from one
-short reduction per sample. Exact ties keep the lowest cluster index, as
-`np.argmin` does. A near-tie, one whose distance gap is within the rounding
-of that expansion (about 1e-16 of ||y||^2 + ||c||^2), follows the expanded
-value, which may differ from the directly computed distance.
+minimizes ||c||^2 - 2 y.c, one matrix product per call: (-2 C) Y, with C
+the center rows (scaling by -2 is exact). The product is cluster-major, one
+row of n per center, so the minimum and the index that attains it come from
+a few passes over c rows rather than from one short reduction per sample.
+Exact ties keep the lowest cluster index, as `np.argmin` does. A near-tie,
+one whose distance gap is within the rounding of that expansion (about
+1e-16 of ||y||^2 + ||c||^2), follows the expanded value, which may differ
+from the directly computed distance.
 
 Input must be finite. `run_kmeans` and `update_u_with_candidates` reject
 data whose sum of squares is not finite, which is data with a NaN or an
@@ -102,16 +105,11 @@ class CandidateChoice(NamedTuple):
     lloyd_steps: int     # centroid updates over all the restarts
 
 
-def _rows(y: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(y, dtype=np.float64).T)
-
-
-def assign_labels(yt, centers):
-    """Index of the nearest center for every row of ``yt``."""
-    c = centers.shape[0]
-    product = yt @ centers.T
-    scores = np.multiply(product.T, -2.0, order="C")  # (c, n)
-    scores += np.einsum("ij,ij->i", centers, centers)[:, None]
+def assign_labels(y, center_rows):
+    """Index of the nearest center row for every column of ``y``."""
+    c = center_rows.shape[0]
+    scores = (-2.0 * center_rows) @ y  # (c, n)
+    scores += np.einsum("ij,ij->i", center_rows, center_rows)[:, None]
     hit = scores == scores.min(axis=0)
     # Row k ranks c - k, so the largest rank among the hits is the lowest
     # index that attains the minimum.
@@ -119,49 +117,50 @@ def assign_labels(yt, centers):
     return c - (hit * rank).max(axis=0).astype(np.int64)
 
 
-def centroid_sums(yt, labels, c):
-    """Per-cluster sums of the rows of ``yt`` as a (c, k) matrix, and the
-    per-cluster counts, via one product with the one-hot indicator."""
-    onehot = np.zeros((c, labels.size))
-    onehot[labels, np.arange(labels.size)] = 1.0
-    return onehot @ yt, np.bincount(labels, minlength=c)
+def centroid_sums(y, labels, c):
+    """Per-cluster sums of the columns of ``y`` as a (c, k) matrix, via one
+    product with the one-hot indicator. Counts are the caller's."""
+    onehot = (labels == np.arange(c)[:, None]).astype(np.float64)
+    return onehot @ y.T
 
 
-def fit_value(yt, centers, labels):
-    """Sum of squared distances of every row to its assigned center."""
-    diff = yt - centers[labels]
+def fit_value(y, centers, labels):
+    """Sum of squared distances of every column of ``y`` to its assigned
+    column of ``centers`` (k, c)."""
+    diff = y - centers[:, labels]
     return float(np.einsum("ij,ij->", diff, diff))
 
 
-def _finite_total(yt: np.ndarray) -> float:
-    """sum_i ||y_i||^2 over the rows of ``yt``, which must be finite.
+def _finite_total(y: np.ndarray) -> float:
+    """sum_i ||y_i||^2 over the columns of ``y``, which must be finite.
 
     The sum is NaN or inf exactly when an entry is, or when finite entries
     are too large to square and add; the ValueError says which.
     """
-    total = float(np.einsum("ij,ij->", yt, yt))
+    total = float(np.einsum("ij,ij->", y, y))
     if np.isfinite(total):
         return total
-    bad = np.argwhere(~np.isfinite(yt.T))  # (feature, sample) pairs
+    bad = np.argwhere(~np.isfinite(y))  # (feature, sample) pairs
     if not bad.size:
         raise ValueError(
             "y's sum of squares overflows: "
-            f"max |y| = {float(np.abs(yt).max()):.3e}"
+            f"max |y| = {float(np.abs(y).max()):.3e}"
         )
-    shown = ", ".join(f"y[{i}, {j}] = {yt[j, i]}" for i, j in bad[:3])
+    shown = ", ".join(f"y[{i}, {j}] = {y[i, j]}" for i, j in bad[:3])
     more = ", ..." if len(bad) > 3 else ""
     raise ValueError(
-        f"y has non-finite entries ({len(bad)} of {yt.size}): {shown}{more}"
+        f"y has non-finite entries ({len(bad)} of {y.size}): {shown}{more}"
     )
 
 
-def _repair_empty(yt, labels, center_rows, c):
+def _repair_empty(y, labels, center_rows, counts):
     """Give each empty cluster the farthest member of the largest cluster.
 
-    Distance is measured to the largest cluster's current (pre-update)
-    centroid. Ties pick the lowest index. Requires n >= c.
+    ``counts`` is the bincount of ``labels``; it is updated in place to
+    the returned labels' counts. Distance is measured to the largest
+    cluster's current (pre-update) centroid. Ties pick the lowest index.
+    Requires n >= c.
     """
-    counts = np.bincount(labels, minlength=c)
     empties = list(np.flatnonzero(counts == 0))
     if not empties:
         return labels
@@ -169,8 +168,8 @@ def _repair_empty(yt, labels, center_rows, c):
     for k in empties:
         donor = int(np.argmax(counts))
         members = np.flatnonzero(labels == donor)
-        diff = yt[members] - center_rows[donor]
-        far = members[int(np.argmax(np.einsum("ij,ij->i", diff, diff)))]
+        diff = y[:, members] - center_rows[donor][:, None]
+        far = members[int(np.argmax(np.einsum("ij,ij->j", diff, diff)))]
         labels[far] = k
         counts[donor] -= 1
         counts[k] += 1
@@ -185,11 +184,10 @@ def centroids(y: np.ndarray, indicator: IndicatorMatrix) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape[1] != indicator.n:
         raise ValueError("sample count mismatch")
-    sums, counts = centroid_sums(
-        y.T, indicator.assignments, indicator.n_clusters
-    )
+    counts = indicator.counts()
     if np.any(counts == 0):
         raise ValueError(f"empty cluster {int(np.argmin(counts))}")
+    sums = centroid_sums(y, indicator.assignments, indicator.n_clusters)
     return (sums / counts[:, None]).T
 
 
@@ -213,15 +211,14 @@ def run_kmeans(y: np.ndarray, c: int, seed: int) -> KMeansResult:
     Raises ValueError, naming the entries, if y has a NaN or an infinite
     entry (see `_finite_total`).
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
     n = y.shape[1]
     if not 1 <= c <= n:
         raise ValueError(f"cluster count {c} out of range [1, {n}]")
 
-    yt = _rows(y)
-    total = _finite_total(yt)
+    total = _finite_total(y)
     rng = np.random.default_rng(seed)
-    center_rows = yt[rng.choice(n, size=c, replace=False)].copy()
+    center_rows = y[:, rng.choice(n, size=c, replace=False)].T.copy()
 
     # One byte per sample for c <= 256 keeps the visited set small.
     key_type = np.min_scalar_type(c - 1)
@@ -229,23 +226,25 @@ def run_kmeans(y: np.ndarray, c: int, seed: int) -> KMeansResult:
     labels = None
     history = []
     for _ in range(LLOYD_MAX_STEPS):
-        new = assign_labels(yt, center_rows)
-        new = _repair_empty(yt, new, center_rows, c)
+        new = assign_labels(y, center_rows)
+        counts = np.bincount(new, minlength=c)
+        new = _repair_empty(y, new, center_rows, counts)
         key = new.astype(key_type).tobytes()
         if key in visited:
             break
         visited.add(key)
         labels = new
-        sums, counts = centroid_sums(yt, labels, c)
+        sums = centroid_sums(y, labels, c)
         center_rows = sums / counts[:, None]
         between = np.einsum("ij,ij->i", sums, sums) / counts
         history.append(total - float(between.sum()))
 
-    fit = fit_value(yt, center_rows, labels)
+    centers = center_rows.T.copy()
+    fit = fit_value(y, centers, labels)
     history[-1] = fit
     return KMeansResult(
         indicator=IndicatorMatrix(labels, c),
-        centers=center_rows.T.copy(),
+        centers=centers,
         fit=fit,
         fit_history=tuple(history),
     )
@@ -264,7 +263,7 @@ def update_u_with_candidates(
     returned. Non-finite y raises ValueError, as in `run_kmeans`, also when
     r = 0.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
     if u_prev.n != y.shape[1]:
         raise ValueError("u_prev does not match the sample count")
     if u_prev.n_clusters != c:
@@ -272,17 +271,14 @@ def update_u_with_candidates(
     if r < 0:
         raise ValueError("r must be >= 0")
 
-    # One samples-as-rows copy serves every run: `yt.T` is a view whose
-    # rows are `yt` again, so `run_kmeans` takes it without copying.
-    yt = _rows(y)
-    _finite_total(yt)
+    _finite_total(y)
     inc_centers = centroids(y, u_prev)
-    inc_fit = fit_value(yt, _rows(inc_centers), u_prev.assignments)
+    inc_fit = fit_value(y, inc_centers, u_prev.assignments)
     best = KMeansResult(indicator=u_prev, centers=inc_centers, fit=inc_fit)
 
     winner, steps = -1, 0
     for i, s in enumerate(np.random.SeedSequence(seed).generate_state(r)):
-        cand = run_kmeans(yt.T, c, int(s))
+        cand = run_kmeans(y, c, int(s))
         steps += len(cand.fit_history)
         if cand.fit < best.fit:
             best, winner = cand, i

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import DataMatrix
-from .kmeans import _rows, run_kmeans
+from .kmeans import run_kmeans
 
 
 @dataclass
@@ -183,13 +183,11 @@ def evaluate_clustering(
         raise ValueError(f"m={m} out of range [1, {data.d}]")
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    # One samples-as-rows copy serves every run: `rows.T` is a view whose
-    # rows are `rows` again, so `run_kmeans` takes it without copying.
-    rows = _rows(data.values[:m])
+    values = data.values[:m]
     accs = np.empty(runs)
     nmis = np.empty(runs)
     for i, s in enumerate(np.random.SeedSequence(seed).generate_state(runs)):
-        pred = run_kmeans(rows.T, c, int(s)).indicator.assignments
+        pred = run_kmeans(values, c, int(s)).indicator.assignments
         accs[i] = accuracy(pred, data.labels)
         nmis[i] = nmi(pred, data.labels)
     return EvalStats(

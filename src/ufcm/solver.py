@@ -255,7 +255,7 @@ def build_m(
     counts = u.counts()
     if np.any(counts == 0):
         raise ValueError("empty cluster")
-    sums, _ = centroid_sums(x.T, u.assignments, u.n_clusters)
+    sums = centroid_sums(x, u.assignments, u.n_clusters)
     scaled = sums.T / np.sqrt(counts)          # (d, c)
     op = MOperator(x, scaled, np.asarray(d_diag), cfg.alpha, cfg.beta)
     if gram is None and _matrix_free(*x.shape):
@@ -344,9 +344,7 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
     def record(changes: int):
         """Trace the current state; the one place J is formed."""
         scatter = float(np.einsum("ij,ij->", y, y))  # Tr(W^T X X^T W)
-        fit = fit_value(
-            np.ascontiguousarray(y.T), np.ascontiguousarray(g.T), u.assignments
-        )
+        fit = fit_value(y, g, u.assignments)
         reg = float(np.sum(np.linalg.norm(w, axis=1) ** cfg.p))
         obj = scatter - cfg.alpha * fit - cfg.beta * reg
         prev = trace.objective[-1] if trace.objective else None

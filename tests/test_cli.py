@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 
 import numpy as np
@@ -374,6 +375,7 @@ def test_select_beyond_feature_count_is_usage_error_before_solving(
 
 
 DIM_TOO_BIG = "d_prime=9 exceeds feature count 8"
+DIM_HINT = "(--dim defaults to --clusters)"
 
 
 @pytest.mark.parametrize(
@@ -396,7 +398,11 @@ DIM_TOO_BIG = "d_prime=9 exceeds feature count 8"
             ["--grid-p", "0.5,3"], "p must lie in (0, 2)", id="grid-p"
         ),
         pytest.param(["--dim", "9"], DIM_TOO_BIG, id="dim-over-d"),
-        pytest.param(["--clusters", "9"], DIM_TOO_BIG, id="clusters-over-d"),
+        pytest.param(
+            ["--clusters", "9"],
+            f"{DIM_TOO_BIG} {DIM_HINT}",
+            id="clusters-over-d",
+        ),
         pytest.param(
             ["--clusters", "46", "--dim", "2"],
             "c=46 exceeds sample count 45",
@@ -414,8 +420,55 @@ def test_bad_solver_settings_are_usage_errors_before_solving(
     out = tmp_path / "out"
     argv = ["--synthetic", BLOBS, "--clusters", "3", *flags, "--out", str(out)]
     assert main(argv) == 2  # BLOBS: 8 features, 45 samples
-    assert message in capsys.readouterr().err
-    assert not list(out.glob("record_gp*.json"))
+    err = capsys.readouterr().err
+    assert message in err
+    # The hint names --dim only where d' came from --clusters.
+    assert (DIM_HINT in err) == (DIM_HINT in message)
+    assert not out.exists()
+
+
+def test_clusters_over_samples_without_dim_gets_no_dim_hint(
+    tmp_path, capsys
+):
+    data = DataMatrix(np.random.default_rng(0).normal(size=(10, 3)))
+    csv_path = tmp_path / "data.csv"
+    write_csv(data, csv_path)
+    out = tmp_path / "out"
+    argv = ["--input", str(csv_path), "--clusters", "4", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "c=4 exceeds sample count 3" in err
+    assert DIM_HINT not in err
+    assert not out.exists()
+
+
+def test_malformed_csv_is_usage_error_and_makes_no_out_dir(tmp_path, capsys):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("a,b\n1.0,2.0\n3.0,oops\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["--input", str(csv_path), "--clusters", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert "oops" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_grid_point_logs_one_debug_line(tmp_path, caplog, capsys):
+    caplog.set_level(logging.DEBUG, logger="ufcm.cli")
+    out = tmp_path / "out"
+    run_experiment(spec_for(out, alpha=[0.1, 10.0], beta=[0.5]))
+    records = [r for r in caplog.records if r.name == "ufcm.cli"]
+    assert len(records) == 2
+    for gi, (rec, alpha) in enumerate(zip(records, [0.1, 10.0])):
+        timing = json.loads((out / f"record_gp{gi:03d}.json").read_text())[
+            "timing"
+        ]
+        assert rec.levelno == logging.DEBUG
+        assert rec.getMessage() == (
+            f"grid point {gi}: alpha={alpha!r} beta=0.5 p=1.0 "
+            f"solve_s={timing['solve_s']:.3f} "
+            f"evaluate_s={timing['evaluate_s']:.3f}"
+        )
+    assert capsys.readouterr() == ("", "")
 
 
 def test_parser_dests_are_the_spec_fields():

@@ -37,11 +37,13 @@ def exhaustive_min_fit_induced(y, c):
 
 
 def test_assign_repairs_empty_cluster():
-    yt = np.array([[0.0], [0.1], [0.2], [5.0]])  # samples as rows
+    y = np.array([[0.0, 0.1, 0.2, 5.0]])  # one feature, four samples
     center_rows = np.array([[0.0], [100.0]])  # nobody picks center 1
-    labels = _repair_empty(yt, np.zeros(4, dtype=np.int64), center_rows, 2)
+    counts = np.array([4, 0])
+    labels = _repair_empty(y, np.zeros(4, dtype=np.int64), center_rows, counts)
     # the donor's farthest member (sample 3) moved
     assert labels.tolist() == [0, 0, 0, 1]
+    assert counts.tolist() == [3, 1]
 
 
 def test_centroids_permutation_indicator(rng):
@@ -184,29 +186,30 @@ def test_update_u_never_increases_fit(seed):
 def oracle_kmeans(y, c, seed, max_iter=100):
     """The Lloyd loop as it was when every step scored its fit directly:
     labels, (d', c) centers and the per-step direct fits."""
-    yt = np.ascontiguousarray(np.asarray(y, dtype=np.float64).T)
+    y = np.ascontiguousarray(y, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    center_rows = yt[rng.choice(yt.shape[0], size=c, replace=False)].copy()
+    picks = rng.choice(y.shape[1], size=c, replace=False)
+    center_rows = y[:, picks].T.copy()
     labels = None
     history = []
     for _ in range(max_iter):
-        new = kmeans.assign_labels(yt, center_rows)
-        new = _repair_empty(yt, new, center_rows, c)
+        new = kmeans.assign_labels(y, center_rows)
+        counts = np.bincount(new, minlength=c)
+        new = _repair_empty(y, new, center_rows, counts)
         if labels is not None and np.array_equal(new, labels):
             break
         labels = new
-        sums, counts = kmeans.centroid_sums(yt, labels, c)
+        sums = kmeans.centroid_sums(y, labels, c)
         center_rows = sums / counts[:, None]
-        history.append(kmeans.fit_value(yt, center_rows, labels))
+        history.append(kmeans.fit_value(y, center_rows.T, labels))
     return labels, center_rows.T.copy(), history
 
 
 def oracle_update_u(y, u_prev, c, r, seed):
     """Index of the winning restart (-1: the incumbent), its fit and the
     Lloyd steps of all restarts, with the oracle's loop."""
-    yt = np.ascontiguousarray(y.T)
-    inc = np.ascontiguousarray(centroids(y, u_prev).T)
-    best = kmeans.fit_value(yt, inc, u_prev.assignments)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    best = kmeans.fit_value(y, centroids(y, u_prev), u_prev.assignments)
     winner, steps = -1, 0
     for i, s in enumerate(np.random.SeedSequence(seed).generate_state(r)):
         _, _, history = oracle_kmeans(y, c, int(s))
@@ -266,8 +269,8 @@ def test_run_kmeans_matches_the_direct_fit_loop(make, c):
 def test_few_points_input_goes_through_the_empty_cluster_repair(monkeypatch):
     repairs = []
 
-    def counting(yt, labels, center_rows, c):
-        out = _repair_empty(yt, labels, center_rows, c)
+    def counting(y, labels, center_rows, counts):
+        out = _repair_empty(y, labels, center_rows, counts)
         repairs.append(not np.array_equal(out, labels))
         return out
 
@@ -295,6 +298,38 @@ def test_update_u_picks_the_direct_fit_loops_winner(make, c):
             assert res.indicator is not u_prev
         winners.append(winner)
     assert -1 in winners and max(winners) >= 0
+
+
+def transposed_rows(y):
+    """``y`` as the transpose of a samples-as-rows array."""
+    return np.ascontiguousarray(y.T).T
+
+
+def strided_columns(y):
+    """``y`` as every other column of a wider array."""
+    wide = np.zeros((y.shape[0], 2 * y.shape[1]))
+    wide[:, ::2] = y
+    return wide[:, ::2]
+
+
+@pytest.mark.parametrize("view", [transposed_rows, strided_columns])
+def test_non_contiguous_views_give_the_bits_of_their_copy(view):
+    y = centered_blobs(4, 6, 500, 5)
+    v = view(y)
+    assert not v.flags.c_contiguous and np.array_equal(v, y)
+    for seed in range(3):
+        a, b = run_kmeans(v, 5, seed), run_kmeans(y, 5, seed)
+        assert np.array_equal(a.indicator.assignments, b.indicator.assignments)
+        assert np.array_equal(a.centers, b.centers)
+        assert a.fit == b.fit and a.fit_history == b.fit_history
+        u_prev = run_kmeans(y, 5, seed + 10).indicator
+        a = update_u_with_candidates(v, u_prev, 5, r=3, seed=seed)
+        b = update_u_with_candidates(y, u_prev, 5, r=3, seed=seed)
+        assert np.array_equal(a.indicator.assignments, b.indicator.assignments)
+        assert np.array_equal(a.centers, b.centers)
+        assert (a.fit, a.winner, a.lloyd_steps) == (
+            b.fit, b.winner, b.lloyd_steps
+        )
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
