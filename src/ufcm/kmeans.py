@@ -11,11 +11,15 @@ bits its copy gives. Center rows are (c, d'); `centers` in a result and
 
 Assignment expands the squared distance: ||y - c||^2 = ||y||^2 - 2 y.c +
 ||c||^2, and ||y||^2 is the same for every center, so the nearest center
-minimizes ||c||^2 - 2 y.c, one matrix product per call: (-2 C) Y, with C
-the center rows (scaling by -2 is exact). The product is cluster-major, one
-row of n per center, so the minimum and the index that attains it come from
-a few passes over c rows rather than from one short reduction per sample.
-Exact ties keep the lowest cluster index, as `np.argmin` does. A near-tie,
+minimizes ||c||^2 - 2 y.c, one matrix product per call: Y^T C^T, with C
+the center rows, formed on the transposed view of Y, samples as rows. Its
+last bits follow the GEMM's operand order and layout, and near-tie labels
+follow those bits; the cluster-major product C Y rounds differently on many
+shapes (with OpenBLAS: k >= 16, or c >= 255), so the row-wise product
+stays. -2 times its transpose (scaling by -2 is exact) is written into a
+cluster-major (c, n) array, one row of n per center, so the minimum and the
+index that attains it come from a few passes over c rows rather than from
+one short reduction per sample. Exact ties keep the lowest cluster index, as `np.argmin` does. A near-tie,
 one whose distance gap is within the rounding of that expansion (about
 1e-16 of ||y||^2 + ||c||^2), follows the expanded value, which may differ
 from the directly computed distance.
@@ -108,7 +112,8 @@ class CandidateChoice(NamedTuple):
 def assign_labels(y, center_rows):
     """Index of the nearest center row for every column of ``y``."""
     c = center_rows.shape[0]
-    scores = (-2.0 * center_rows) @ y  # (c, n)
+    product = y.T @ center_rows.T  # (n, c)
+    scores = np.multiply(product.T, -2.0, order="C")  # (c, n)
     scores += np.einsum("ij,ij->i", center_rows, center_rows)[:, None]
     hit = scores == scores.min(axis=0)
     # Row k ranks c - k, so the largest rank among the hits is the lowest

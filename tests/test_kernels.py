@@ -188,11 +188,11 @@ def test_kernels_match_loops_on_random_shapes(inputs):
 
 
 def row_wise_scores(y, centers):
-    """The (n, c) expanded scores, one row per sample, from the product
-    the kernel forms."""
-    scores = (-2.0 * centers) @ y
-    scores += np.einsum("ij,ij->i", centers, centers)[:, None]
-    return scores.T
+    """The (n, c) expanded scores as a row-wise kernel computes them."""
+    scores = y.T @ centers.T
+    scores *= -2.0
+    scores += np.einsum("ij,ij->i", centers, centers)
+    return scores
 
 
 @st.composite
