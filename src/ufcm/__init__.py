@@ -19,7 +19,6 @@ from .kmeans import (
     CandidateChoice,
     IndicatorMatrix,
     KMeansResult,
-    centroids,
     run_kmeans,
     update_u_with_candidates,
 )
@@ -37,11 +36,7 @@ from .solver import (
     SolverConfig,
     SolverResult,
     SolverTrace,
-    build_m,
-    compute_d,
     solve,
-    update_g,
-    update_w,
 )
 
 __version__ = "0.1.0"
@@ -58,10 +53,7 @@ __all__ = [
     "SolverResult",
     "SolverTrace",
     "accuracy",
-    "build_m",
     "center",
-    "centroids",
-    "compute_d",
     "evaluate_clustering",
     "load_csv",
     "make_blobs",
@@ -71,8 +63,6 @@ __all__ = [
     "run_kmeans",
     "select",
     "solve",
-    "update_g",
     "update_u_with_candidates",
-    "update_w",
     "write_csv",
 ]

@@ -118,7 +118,7 @@ def _raise_first_bad_cell(
     def col_name(j: int) -> str:
         return repr(header[j]) if header is not None else str(j)
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = (row for row in csv.reader(fh) if row)
         if header is not None:
             next(rows)
@@ -150,22 +150,31 @@ def load_csv(path, label_column: str | int | None = None) -> DataMatrix:
     """Load a samples-as-rows CSV into a (d, n) DataMatrix.
 
     Args:
-        path: CSV file, comma-separated; blank lines are skipped and CRLF
-            line ends are accepted. The first line may be a header (detected
-            by whether every cell parses as a number). Data cells are finite
-            reals in numpy's float syntax: Python's float() syntax without
-            digit-group underscores (``1_000``) or non-ASCII digits,
-            surrounding whitespace allowed, optionally quoted (``"1.5"``).
-            ``#`` starts no comment: a cell holding one is an error.
+        path: UTF-8 CSV file, comma-separated; a leading byte-order mark
+            and blank lines are skipped and CRLF line ends are accepted.
+            The first line may be a header (detected by whether every cell
+            parses as a number). Data cells are finite reals in numpy's
+            float syntax: Python's float() syntax without digit-group
+            underscores (``1_000``) or non-ASCII digits, surrounding
+            whitespace allowed, optionally quoted (``"1.5"``). ``#`` starts
+            no comment: a cell holding one is an error.
         label_column: column holding ground-truth labels, by header name or
             zero-based index. Label values are re-indexed to 0..c-1 in sorted
             order of their string form.
 
     Raises:
         CsvFormatError: on an empty cell, an unparseable or non-finite value
-            (row and column reported), a ragged row, or no data rows.
+            (row and column reported), a ragged row, no data rows, or
+            non-UTF-8 text.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        return _parse_csv(path, label_column)
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
+def _parse_csv(path, label_column) -> DataMatrix:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         first = next((row for row in csv.reader(fh) if row), None)
         if first is None:
             raise CsvFormatError(f"{path}: empty file")

@@ -14,9 +14,9 @@ Two ways to the top-k eigenpairs of a symmetric matrix:
   steps extrapolated from the residual's rate of fall, not at a fixed
   interval.
 
-`gram_eig_top` gives the top eigenpairs of X X^T for a (d, n) X with
-d > n from the n x n product X^T X, without forming the d x d one. All
-three fix eigenvector signs the same way (`fix_signs`) and report a
+`gram_eig_top` gives the top k <= d eigenpairs of X X^T for a (d, n) X
+with d > n from the n x n product X^T X, without forming the d x d one.
+All three fix eigenvector signs the same way (`fix_signs`) and report a
 relative residual.
 """
 
@@ -130,15 +130,20 @@ def gram_eig_top(x: np.ndarray, k: int) -> EigenPairs:
     orthonormal vectors. QR rather than dividing X v by sqrt(lambda): a
     centered X has rank at most n - 1, so at k = n the k-th eigenvalue can
     be 0, and QR still returns a unit vector orthogonal to the others (an
-    eigenvector for 0). Cheaper than forming X X^T when the (d, n) X has
-    d > n. Needs k <= min(d, n).
+    eigenvector for 0). For k > n, X V and the values are padded with
+    zeros to k: QR's first n columns span range(X), so its last k - n are
+    unit vectors orthogonal to range(X), eigenvectors for 0. Cheaper than
+    forming X X^T when the (d, n) X has d > n. Needs k <= d.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not 1 <= k <= min(x.shape):
-        raise ValueError(f"k={k} out of range [1, {min(x.shape)}]")
+    if not 1 <= k <= x.shape[0]:
+        raise ValueError(f"k={k} out of range [1, {x.shape[0]}]")
     values, v = np.linalg.eigh(x.T @ x)
-    values = values[::-1][:k].copy()
-    vectors, _ = np.linalg.qr(x @ v[:, ::-1][:, :k])
+    top = min(k, x.shape[1])
+    values = np.pad(values[::-1][:top], (0, k - top))
+    vectors, _ = np.linalg.qr(
+        np.pad(x @ v[:, ::-1][:, :top], ((0, 0), (0, k - top)))
+    )
     vectors = fix_signs(vectors)
     _, residual = _residual(x @ (x.T @ vectors), vectors, values)
     return EigenPairs(values, vectors, residual)

@@ -13,7 +13,8 @@ The tracked regularizer is the p-th power of the row-norm aggregate (the
 form whose quadratic surrogate the reweighting diagonal majorizes); the
 trace field name `regularizer_pow_p` records the convention.
 
-The W step has two paths, chosen by the shape of the (d, n) input:
+The W step has two paths, which `solve` alone chooses by the shape of the
+(d, n) input (`_matrix_free`); it holds X X^T exactly on the dense one:
 
 - dense (d <= n): `build_m` forms the d x d matrix M and `sym_eig_top`
   decomposes it in full. The PCA init decomposes X X^T.
@@ -28,8 +29,7 @@ The W step has two paths, chosen by the shape of the (d, n) input:
   below a lower bound on M's top d' eigenvalues (`MOperator.top_floor`);
   W then comes from the dense path instead, recorded as
   "krylov-fallback". The PCA init maps the top eigenvectors of the n x n
-  X^T X through X (`linalg.gram_eig_top`), or decomposes the dense X X^T
-  when d' > n asks for more vectors than X^T X has.
+  X^T X through X (`linalg.gram_eig_top`).
 
 The switch point d = n is where the d x d problem stops being smaller than
 the data. No benchmark workload has d > n with d near n or d small.
@@ -75,6 +75,7 @@ from .linalg import (
     require_centered,
     sym_eig_top,
 )
+from .metrics import accuracy
 
 _log = logging.getLogger(__name__)
 
@@ -139,6 +140,7 @@ class SolverTrace:
     fit_term: list[float] = field(default_factory=list)
     scatter_term: list[float] = field(default_factory=list)
     regularizer_pow_p: list[float] = field(default_factory=list)
+    # Samples moved to another cluster, under the best id matching.
     assignment_changes: list[int] = field(default_factory=list)
     w_orth_error: list[float] = field(default_factory=list)
     rel_change: list[float] = field(default_factory=list)
@@ -240,27 +242,21 @@ def build_m(
 ) -> np.ndarray | MOperator:
     """Assemble the symmetric matrix whose top eigenvectors give W.
 
-    M = S_t + alpha X U (U^T U)^{-1} U^T X^T - alpha X X^T - beta D.
-    For centered input S_t = X X^T (passed as `gram` when already computed).
-    The projector term reduces to the weighted outer products of cluster
-    sums: sum_k s_k s_k^T / n_k, i.e. S S^T with S the (d, c) scaled sums.
+    M = S_t + alpha X U (U^T U)^{-1} U^T X^T - alpha X X^T - beta D, with
+    S_t = X X^T: X must be a centered (d, n) float64 array, which `solve`
+    checks once. The projector term is S S^T with S the (d, c) cluster
+    sums scaled by 1 / sqrt(n_k).
 
-    Returns the dense d x d array, exactly symmetric, when `gram` is given
-    or d <= n. Without `gram`, when d > n, returns the `MOperator` instead:
-    only S is built, and no d x d array is formed.
+    Returns the dense d x d array, exactly symmetric, when `gram` = X X^T
+    is given, else the `MOperator`: only S is built, no d x d array.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if gram is None:
-        require_centered(x)
     counts = u.counts()
     if np.any(counts == 0):
         raise ValueError("empty cluster")
     sums = centroid_sums(x, u.assignments, u.n_clusters)
     scaled = sums.T / np.sqrt(counts)          # (d, c)
-    op = MOperator(x, scaled, np.asarray(d_diag), cfg.alpha, cfg.beta)
-    if gram is None and _matrix_free(*x.shape):
-        return op
-    return op.dense(gram)
+    op = MOperator(x, scaled, d_diag, cfg.alpha, cfg.beta)
+    return op if gram is None else op.dense(gram)
 
 
 def update_w(
@@ -288,16 +284,6 @@ def update_w(
         pairs.steps, pairs.checks = ritz.steps, ritz.checks
         return pairs
     return sym_eig_top(m, d_prime)
-
-
-def _pca_init(
-    x: np.ndarray, gram: np.ndarray | None, d_prime: int
-) -> EigenPairs:
-    """Top-d' eigenpairs of S_t = X X^T: from `gram` when given, else
-    from the n x n X^T X (or, when d' > n, from X X^T formed here)."""
-    if gram is None and d_prime <= x.shape[1]:
-        return gram_eig_top(x, d_prime)
-    return update_w(x @ x.T if gram is None else gram, d_prime)
 
 
 def update_g(y: np.ndarray, u: IndicatorMatrix) -> np.ndarray:
@@ -329,10 +315,14 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
     require_centered(x)
     d_prime = cfg.d_prime_for(d, n)
 
-    gram = None if _matrix_free(d, n) else x @ x.T
+    if _matrix_free(d, n):
+        gram = None
+        eig = gram_eig_top(x, d_prime)
+    else:
+        gram = x @ x.T
+        eig = sym_eig_top(gram, d_prime)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.max_iter + 1)
 
-    eig = _pca_init(x, gram, d_prime)
     w = eig.vectors
     y = w.T @ x  # shared by the terms, the G update and the next U update
     km = run_kmeans(y, cfg.c, int(seeds[0]))
@@ -378,9 +368,10 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
     for i in range(1, cfg.max_iter + 1):
         d_diag = compute_d(w, cfg)
         km = update_u_with_candidates(y, u, cfg.c, cfg.r, int(seeds[i]))
-        changes = int(
-            np.count_nonzero(km.indicator.assignments != u.assignments)
-        )
+        changes = 0
+        if km.winner >= 0:  # restart ids are arbitrary: match them first
+            overlap = accuracy(km.indicator.assignments, u.assignments) * n
+            changes = n - round(overlap)
         u, steps, winner = km.indicator, km.lloyd_steps, km.winner
         eig = update_w(build_m(x, u, d_diag, cfg, gram=gram), d_prime, w)
         w = eig.vectors

@@ -452,6 +452,16 @@ def test_malformed_csv_is_usage_error_and_makes_no_out_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_utf8_csv_is_usage_error_naming_the_path(tmp_path, capsys):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_bytes(b"a,b\n1.0,2.0\n3.0,\xff4.0\n")
+    out = tmp_path / "out"
+    argv = ["--input", str(csv_path), "--clusters", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"{csv_path}: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_each_grid_point_logs_one_debug_line(tmp_path, caplog, capsys):
     caplog.set_level(logging.DEBUG, logger="ufcm.cli")
     out = tmp_path / "out"

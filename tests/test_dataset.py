@@ -186,6 +186,44 @@ def test_load_csv_label_column_in_the_middle(tmp_path, label_column):
     assert dm.labels.tolist() == [1, 0, 1]
 
 
+def test_load_csv_skips_a_byte_order_mark_before_data(tmp_path):
+    # Read as plain UTF-8, the first cell '\ufeff1.0' is no number, so the
+    # first data row would be taken as a header and lost.
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+    dm = load_csv(path)
+    assert dm.feature_names is None
+    assert dm.values.T.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+
+def test_load_csv_skips_a_byte_order_mark_before_the_header(tmp_path):
+    # Read as plain UTF-8, the first name is '\ufeffa'.
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,b\nx,1.0\ny,2.0\nx,3.0\n")
+    dm = load_csv(path, label_column="a")
+    assert dm.feature_names == ["b"]
+    assert dm.labels.tolist() == [0, 1, 0]
+    assert dm.values.tolist() == [[1.0, 2.0, 3.0]]
+
+
+def test_load_csv_rejects_a_non_utf8_header(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,\xe9b\n1.0,2.0\n3.0,4.0\n")
+    with pytest.raises(CsvFormatError, match=r"latin1\.csv: not UTF-8 text"):
+        load_csv(path)
+
+
+def test_load_csv_rejects_a_non_utf8_byte_in_a_later_row(tmp_path):
+    # Far enough past the first row that the fast parse, not the header
+    # read, meets the bad byte and the row-by-row rescan decodes it again.
+    path = tmp_path / "bad.csv"
+    rows = "".join(f"{i}.0,{i}.5\n" for i in range(3000)).encode()
+    path.write_bytes(b"a,b\n" + rows + b"1.0,\xff2.0\n")
+    assert len(rows) > 4 * 8192
+    with pytest.raises(CsvFormatError, match=r"bad\.csv: not UTF-8 text"):
+        load_csv(path)
+
+
 def test_center_arithmetic():
     dm = DataMatrix(np.array([[1.0, 3.0], [2.0, 2.0]]))
     centered = center(dm)

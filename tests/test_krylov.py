@@ -246,6 +246,34 @@ def test_ritz_checks_follow_the_residual_not_a_fixed_gap():
         assert 2 <= checks < steps // 4 + 1
 
 
+def test_d_prime_above_n_pads_with_the_null_space_of_x():
+    # The PCA init of a d > n solve at d' > n: the top n - 1 eigenpairs
+    # come from X^T X, the rest are eigenvalue 0 with unit vectors
+    # orthogonal to range(X), all without a d x d array.
+    d, n, k = 600, 20, 40
+    x = centered_normal(5, d, n)
+    tracemalloc.start()
+    try:
+        pairs = gram_eig_top(x, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * d**2
+    v, top = pairs.vectors, pairs.values[0]
+    assert v.shape == (d, k)
+    assert np.linalg.norm(v.T @ v - np.eye(k)) <= 1e-12
+    assert np.abs(pairs.values[n - 1 :]).max() <= 1e-12 * top
+    assert (np.linalg.norm(x.T @ v[:, n - 1 :], axis=0) ** 2).max() <= (
+        1e-12 * top
+    )
+    assert pairs.residual <= 1e-12
+    dense = sym_eig_top(x @ x.T, n - 1).values
+    assert np.allclose(pairs.values[: n - 1], dense, rtol=1e-12, atol=0)
+    cfg = SolverConfig(alpha=1.0, beta=1.0, p=1.0, c=3, d_prime=k, max_iter=4)
+    res = check_solve(x, cfg)
+    assert res.w.shape == (d, k)
+
+
 @pytest.mark.parametrize("n", [2, 5, 12])
 def test_d_prime_equal_to_n_gives_a_finite_orthonormal_w(n):
     # A centered X has rank n - 1, so at k = n the k-th eigenvalue of X X^T

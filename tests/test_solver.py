@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_orthonormal
 from ufcm.dataset import center, make_blobs
 from ufcm.kmeans import IndicatorMatrix
+from ufcm.metrics import accuracy
 from ufcm import kmeans, solver
 from ufcm.solver import (
     SolverConfig,
@@ -114,7 +115,7 @@ def test_build_m_alpha_terms_cancel_when_projector_is_identity(rng):
     u = IndicatorMatrix(np.array([3, 1, 0, 2, 5, 4]), 6)
     d_diag = rng.uniform(0.5, 2.0, size=4)
     cfg = cfg_for(alpha=1.7, beta=0.3, c=6)
-    m = build_m(x, u, d_diag, cfg)
+    m = build_m(x, u, d_diag, cfg, gram=x @ x.T)
     expected = x @ x.T - 0.3 * np.diag(d_diag)
     assert np.abs(m - expected).max() < 1e-10
 
@@ -123,7 +124,7 @@ def test_build_m_vanishing_terms_leave_total_scatter(rng):
     x, u, _, _ = small_instance(2)
     d_diag = np.ones(x.shape[0])
     cfg = cfg_for(alpha=1e-15, beta=0.0)
-    m = build_m(x, u, d_diag, cfg)
+    m = build_m(x, u, d_diag, cfg, gram=x @ x.T)
     assert np.abs(m - x @ x.T).max() < 1e-10
 
 
@@ -132,7 +133,7 @@ def test_build_m_matches_naive_assembly(rng):
         x, u, _, inner = small_instance(seed, d=5, n=12, c=3)
         d_diag = inner.uniform(0.1, 3.0, size=5)
         cfg = cfg_for(alpha=inner.uniform(0.1, 5.0), beta=inner.uniform(0.0, 2.0))
-        m = build_m(x, u, d_diag, cfg)
+        m = build_m(x, u, d_diag, cfg, gram=x @ x.T)
 
         dense = np.eye(u.n_clusters)[u.assignments]
         proj = x @ dense @ np.linalg.inv(dense.T @ dense) @ dense.T @ x.T
@@ -203,7 +204,7 @@ def test_substitution_identity_50_instances():
             - cfg.alpha * fit
             - cfg.beta * float(np.trace(w.T @ np.diag(d_diag) @ w))
         )
-        m = build_m(x, u, d_diag, cfg)
+        m = build_m(x, u, d_diag, cfg, gram=x @ x.T)
         trace_form = float(np.trace(w.T @ m @ w))
         assert abs(surrogate - trace_form) <= 1e-8 * (1.0 + abs(trace_form))
 
@@ -308,6 +309,43 @@ def test_trace_reports_the_u_update_per_state(monkeypatch):
     assert set(winners) <= set(range(-1, cfg.r))
     for winner, changes in zip(winners, res.trace.assignment_changes):
         assert winner >= 0 or changes == 0
+
+
+def test_a_relabelled_incumbent_records_no_assignment_changes(monkeypatch):
+    # Restart cluster ids are arbitrary: a winning restart that finds the
+    # incumbent's partition under other ids moved no sample.
+    def relabel(y, u_prev, c, r, seed):
+        u = IndicatorMatrix((u_prev.assignments + 1) % c, c)
+        centers = kmeans.centroids(y, u)
+        fit = kmeans.fit_value(y, centers, u.assignments)
+        return kmeans.CandidateChoice(u, centers, fit, 0, 1)
+
+    monkeypatch.setattr(solver, "update_u_with_candidates", relabel)
+    res = solve(blob_values(1), cfg_for(seed=4, tol=1e-12, max_iter=3))
+    assert res.trace.u_winner == [-1] + [0] * (len(res.trace) - 1)
+    assert res.trace.assignment_changes == [0] * len(res.trace)
+
+
+def test_assignment_changes_count_the_samples_that_moved(monkeypatch):
+    # n (1 - accuracy) is the number of samples outside the best matching
+    # of the new cluster ids to the old ones.
+    pairs = []
+
+    def u_update(y, u_prev, *args):
+        res = update_u(y, u_prev, *args)
+        pairs.append((res.indicator.assignments, u_prev.assignments))
+        return res
+
+    update_u = solver.update_u_with_candidates
+    monkeypatch.setattr(solver, "update_u_with_candidates", u_update)
+    x = blob_values(1)
+    n = x.shape[1]
+    res = solve(x, cfg_for(seed=4, r=4, tol=1e-12, max_iter=8))
+    changes = res.trace.assignment_changes
+    assert all(type(k) is int for k in changes)
+    expected = [n * (1 - accuracy(new, old)) for new, old in pairs]
+    assert changes == pytest.approx([0] + expected, rel=0, abs=1e-9)
+    assert max(res.trace.u_winner) >= 0
 
 
 def test_solve_deterministic_bit_identical():
