@@ -44,10 +44,13 @@ All randomness flows from explicit integer seeds; runs are bit-reproducible.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+_log = logging.getLogger(__name__)
 
 LLOYD_MAX_STEPS = 100  # cap on centroid updates per K-means run
 
@@ -267,6 +270,10 @@ def update_u_with_candidates(
     the incumbent's. When the incumbent wins, its own `u_prev` object is
     returned. Non-finite y raises ValueError, as in `run_kmeans`, also when
     r = 0.
+
+    Each call logs one DEBUG line to the "ufcm.kmeans" logger: the winner,
+    the restarts run, their Lloyd steps, the incumbent's fit and the
+    chosen fit.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
     if u_prev.n != y.shape[1]:
@@ -287,6 +294,11 @@ def update_u_with_candidates(
         steps += len(cand.fit_history)
         if cand.fit < best.fit:
             best, winner = cand, i
+    _log.debug(
+        "u update: winner=%d restarts=%d lloyd_steps=%d "
+        "incumbent_fit=%r fit=%r",
+        winner, r, steps, inc_fit, best.fit,
+    )
     return CandidateChoice(
         best.indicator, best.centers, best.fit, winner, steps
     )

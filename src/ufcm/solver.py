@@ -19,8 +19,9 @@ The W step has two paths, which `solve` alone chooses by the shape of the
 - dense (d <= n): `build_m` forms the d x d matrix M and `sym_eig_top`
   decomposes it in full. The PCA init decomposes X X^T.
 - matrix-free (d > n): `build_m` returns an `MOperator`, which applies
-  M = (1 - alpha) X X^T + alpha S S^T - beta D to thin blocks through the
-  (d, n) data and the (d, c) scaled cluster sums S, and `update_w` takes
+  M = (1 - alpha) X X^T + alpha S S^T - beta D to thin (d, b) blocks
+  through the (d, n) data and the (d, c) scaled cluster sums S, at
+  O(d (n + c) b) per apply, or O(d c b) at alpha = 1, and `update_w` takes
   the top d' Ritz pairs from a block Krylov basis warm-started at the
   previous W (`linalg.block_krylov_top`, which checks the pairs at steps
   extrapolated from the residual's rate of fall). No d x d array exists on this
@@ -30,6 +31,11 @@ The W step has two paths, which `solve` alone chooses by the shape of the
   W then comes from the dense path instead, recorded as
   "krylov-fallback". The PCA init maps the top eigenvectors of the n x n
   X^T X through X (`linalg.gram_eig_top`).
+
+Either form of M leaves out a term whose weight is exactly 0, the X X^T
+term at alpha = 1 and the D term at beta = 0, and never forms it. The
+terms it keeps are formed and added as in the full sum, so M has the same
+bits, up to the sign of an exact zero.
 
 The switch point d = n is where the d x d problem stops being smaller than
 the data. No benchmark workload has d > n with d near n or d small.
@@ -120,6 +126,8 @@ class SolverConfig:
             raise ValueError("tol must be > 0")
         if not self.eps_row > 0:
             raise ValueError("eps_row must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def d_prime_for(self, d: int, n: int) -> int:
         """d' for a (d, n) input: d_prime, or c when it is None.
@@ -174,7 +182,9 @@ class MOperator:
 
     S is the (d, c) matrix of cluster sums over sqrt(cluster size), so
     S S^T = X U (U^T U)^{-1} U^T X^T. Applying M to a (d, b) block costs
-    O(d (n + c) b); `dense` forms the d x d matrix for the fallback.
+    O(d (n + c) b), or O(d c b) at alpha = 1; `dense` forms the d x d
+    matrix for the fallback. A term with weight 0 (alpha = 1 for X X^T,
+    beta = 0 for D) is never formed, in either form.
     """
 
     x: np.ndarray       # (d, n), centered
@@ -184,22 +194,27 @@ class MOperator:
     beta: float
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        out = self.x @ (self.x.T @ v)
-        out *= 1.0 - self.alpha
-        out += self.alpha * (self.scaled @ (self.scaled.T @ v))
-        out -= (self.beta * self.d_diag)[:, None] * v
+        out = self.alpha * (self.scaled @ (self.scaled.T @ v))
+        if self.alpha != 1.0:
+            data = self.x @ (self.x.T @ v)
+            data *= 1.0 - self.alpha
+            out += data
+        if self.beta != 0.0:
+            out -= (self.beta * self.d_diag)[:, None] * v
         return out
 
     def dense(self, gram: np.ndarray | None = None) -> np.ndarray:
         """M as an exactly symmetric d x d array; `gram` is X X^T if
-        already computed. Each product is one symmetric BLAS update."""
-        if gram is None:
-            gram = self.x @ self.x.T
-        m = np.multiply(gram, 1.0 - self.alpha)
-        proj = self.scaled @ self.scaled.T
-        proj *= self.alpha
-        m += proj
-        m[np.diag_indices_from(m)] -= self.beta * self.d_diag
+        already computed, and is neither formed nor read at alpha = 1.
+        Each product is one symmetric BLAS update."""
+        m = self.scaled @ self.scaled.T
+        m *= self.alpha
+        if self.alpha != 1.0:
+            if gram is None:
+                gram = self.x @ self.x.T
+            m += np.multiply(gram, 1.0 - self.alpha)
+        if self.beta != 0.0:
+            m[np.diag_indices_from(m)] -= self.beta * self.d_diag
         return m
 
     def top_floor(self, k: int) -> float:

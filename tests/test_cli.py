@@ -442,6 +442,24 @@ def test_clusters_over_samples_without_dim_gets_no_dim_hint(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["input", "synthetic"])
+def test_negative_seed_is_usage_error_before_out_dir(tmp_path, capsys, source):
+    if source == "input":
+        data = DataMatrix(np.random.default_rng(0).normal(size=(12, 3)))
+        csv_path = tmp_path / "data.csv"
+        write_csv(data, csv_path)
+        flags = ["--input", str(csv_path)]
+    else:
+        flags = ["--synthetic", BLOBS]
+    out = tmp_path / "out"
+    argv = [*flags, "--clusters", "3", "--seed", "-1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err
+    assert "synthetic spec" not in err
+    assert not out.exists()
+
+
 def test_malformed_csv_is_usage_error_and_makes_no_out_dir(tmp_path, capsys):
     csv_path = tmp_path / "data.csv"
     csv_path.write_text("a,b\n1.0,2.0\n3.0,oops\n", encoding="utf-8")

@@ -196,6 +196,43 @@ def test_top_floor_bounds_the_dense_eigenvalues(seed):
     assert op.top_floor(d - n + 2) == -np.inf
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
+def test_m_keeps_the_bits_of_the_full_sum(alpha, beta):
+    # Leaving out a term of weight 0 drops only zeros from the sum, and IEEE
+    # addition is commutative, so both forms of M keep the bits of the sum
+    # with every term in it, taken in the old order.
+    x = centered_normal(3, 120, 15)
+    cfg = SolverConfig(alpha=alpha, beta=beta, p=1.0, c=3)
+    w = gram_eig_top(x, 3).vectors
+    u = run_kmeans(w.T @ x, 3, 0).indicator
+    op = build_m(x, u, compute_d(w, cfg), cfg)
+    s, d = op.scaled, op.d_diag
+    v = np.random.default_rng(4).normal(size=(120, 3))
+    p = x @ (x.T @ v)
+    p *= 1 - alpha
+    p += alpha * (s @ (s.T @ v))
+    p -= (beta * d)[:, None] * v
+    assert np.array_equal(op @ v, p)
+    m = np.multiply(x @ x.T, 1 - alpha)
+    proj = s @ s.T
+    proj *= alpha
+    m += proj
+    m[np.diag_indices_from(m)] -= beta * d
+    assert np.array_equal(op.dense(), m)
+
+
+def test_alpha_one_never_reads_the_data_term():
+    # At alpha = 1 the X X^T term has weight 0: neither form of M computes
+    # it, so a NaN in X cannot reach M, as 0 * NaN would.
+    rng = np.random.default_rng(5)
+    x = np.full((50, 8), np.nan)
+    scaled = rng.normal(size=(50, 3))
+    op = MOperator(x, scaled, rng.uniform(0.1, 1.0, 50), alpha=1.0, beta=1.0)
+    assert np.isfinite(op @ rng.normal(size=(50, 2))).all()
+    assert np.isfinite(op.dense()).all()
+
+
 @pytest.mark.parametrize("p", [0.5, 1.0, 1.5])
 def test_constant_feature_on_the_krylov_path(p):
     # A constant feature is a zero row of X, so its row of W stays at zero

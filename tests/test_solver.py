@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,11 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             cfg_for(**bad)
+
+
+def test_config_rejects_a_negative_seed_by_name():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        cfg_for(seed=-1)
 
 
 @pytest.mark.parametrize("field", ["alpha", "beta"])
@@ -419,6 +425,31 @@ def test_solve_logs_one_debug_line_per_state(caplog, capsys):
             f"lloyd_steps={t.lloyd_steps[i]} u_winner={t.u_winner[i]}"
         )
     assert capsys.readouterr().out == ""
+def test_each_u_update_logs_one_debug_line(caplog, capsys):
+    caplog.set_level(logging.DEBUG, logger="ufcm.kmeans")
+    cfg = cfg_for(seed=3, r=4)
+    res = solve(blob_values(3, n_per_cluster=10, d_noise=5), cfg)
+    assert max(res.trace.u_winner) >= 0  # a restart wins once
+    records = [r for r in caplog.records if r.name == "ufcm.kmeans"]
+    assert len(records) == len(res.trace) - 1  # state 0 has no U update
+    pattern = re.compile(
+        r"u update: winner=(-?\d+) restarts=(\d+) lloyd_steps=(\d+) "
+        r"incumbent_fit=(\S+) fit=(\S+)"
+    )
+    t = res.trace
+    for i, rec in enumerate(records, start=1):
+        assert rec.levelno == logging.DEBUG
+        winner, restarts, steps, inc_fit, fit = pattern.fullmatch(
+            rec.getMessage()
+        ).groups()
+        assert int(winner) == t.u_winner[i]
+        assert int(restarts) == cfg.r
+        assert int(steps) == t.lloyd_steps[i]
+        assert float(fit) <= float(inc_fit)
+        assert (float(fit) == float(inc_fit)) == (t.u_winner[i] == -1)
+    assert capsys.readouterr().out == ""
+
+
 @st.composite
 def small_problems(draw):
     """Centered Gaussian data with a solver config to match.
@@ -426,7 +457,8 @@ def small_problems(draw):
     About half the draws have d in [300, 364] > n, so their W steps take
     the matrix-free Krylov path with room for many block steps; d' stays
     small there to keep them quick. The other half have d <= 12, some of
-    them with d > n too. p >= 0.5: below it, a zero row of W breaks the
+    them with d > n too. alpha = 1 and beta = 0 are drawn on their own, so
+    the forms of M that leave out a zero-weight term are run. p >= 0.5: below it, a zero row of W breaks the
     monotone objective (see
     `test_zero_row_of_w_breaks_the_monotone_objective`).
     """
@@ -441,8 +473,8 @@ def small_problems(draw):
     x = rng.normal(scale=draw(st.floats(1e-2, 1e2)), size=(d, n))
     x -= x.mean(axis=1, keepdims=True)
     cfg = SolverConfig(
-        alpha=draw(st.floats(0.01, 100.0)),
-        beta=draw(st.floats(0.0, 10.0)),
+        alpha=draw(st.one_of(st.just(1.0), st.floats(0.01, 100.0))),
+        beta=draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0))),
         p=draw(st.floats(0.5, 1.9)),
         c=draw(st.integers(1, min(4, n))),
         d_prime=draw(st.integers(1, d_prime_max)),
