@@ -13,7 +13,6 @@ from .dataset import (
     center,
     load_csv,
     make_blobs,
-    write_csv,
 )
 from .kmeans import (
     CandidateChoice,
@@ -27,7 +26,6 @@ from .metrics import (
     FeatureRanking,
     accuracy,
     evaluate_clustering,
-    max_variance_ranking,
     nmi,
     rank_features,
     select,
@@ -57,12 +55,10 @@ __all__ = [
     "evaluate_clustering",
     "load_csv",
     "make_blobs",
-    "max_variance_ranking",
     "nmi",
     "rank_features",
     "run_kmeans",
     "select",
     "solve",
     "update_u_with_candidates",
-    "write_csv",
 ]

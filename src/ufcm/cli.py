@@ -1,12 +1,13 @@
 """Batch experiment runner.
 
-Pipeline per grid point: load or generate data, center (optionally scale to
-unit variance), solve, rank features, select each requested count, evaluate
-by repeated K-means against ground-truth labels. One JSON record and one
-columnar trace file per grid point, a flat CSV summary across all of them,
-and (when labels exist) the best-by-accuracy row in a separate file, since
-picking by accuracy is an oracle selection unavailable to a truly
-unsupervised user. Grid points run one after another in grid order.
+Pipeline: load or generate the data and center it (optionally scaling to
+unit variance), once per run; then, per grid point, solve, rank features,
+select each requested count, and evaluate by repeated K-means against
+ground-truth labels. One JSON record and one columnar trace file per grid
+point, a flat CSV summary across all of them, and (when labels exist) the
+best-by-accuracy row in a separate file, since picking by accuracy is an
+oracle selection unavailable to a truly unsupervised user. Grid points run
+one after another in grid order.
 
 The grid is the product of the solver hyperparameters, alpha-major. Each
 takes one value or a comma list under either of two spellings of one
@@ -158,9 +159,11 @@ def _sha256_file(path) -> str:
 
 
 def _load_data(spec: ExperimentSpec) -> tuple[DataMatrix, dict]:
+    """The prepared data matrix and a description of its source. The raw
+    matrix is not returned, so it is freed before the first solve."""
     if spec.input is not None:
         digest = _sha256_file(spec.input)
-        data = load_csv(spec.input, label_column=spec.label_column)
+        raw = load_csv(spec.input, label_column=spec.label_column)
         source = {
             "kind": "csv",
             "path": spec.input,
@@ -169,13 +172,13 @@ def _load_data(spec: ExperimentSpec) -> tuple[DataMatrix, dict]:
         }
     else:
         text = f"{spec.synthetic}|seed={spec.seed}"
-        data = _parse_synthetic(spec.synthetic, spec.seed)
+        raw = _parse_synthetic(spec.synthetic, spec.seed)
         source = {
             "kind": "synthetic",
             "generator": spec.synthetic,
             "sha256": hashlib.sha256(text.encode()).hexdigest(),
         }
-    return data, source
+    return _prepare(raw, spec.scale), source
 
 
 def _prepare(data: DataMatrix, scale: bool) -> DataMatrix:
@@ -238,7 +241,7 @@ def _run_grid_point(data, spec, source, gi, cfg) -> list[dict]:
                 ).generate_state(1)[0]
             )
             stats = evaluate_clustering(
-                subset, m, spec.clusters, spec.eval_runs, eval_seed
+                subset, spec.clusters, spec.eval_runs, eval_seed
             )
             evaluation[str(m)] = dict(stats._asdict())
     eval_s = time.perf_counter() - t0
@@ -308,25 +311,25 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     Returns the summary rows, in grid order. Each grid point writes its own
     record and trace as it finishes; the summary is written after the last.
     """
-    raw, source = _load_data(spec)
-    if spec.select_counts and max(spec.select_counts) > raw.d:
+    data, source = _load_data(spec)
+    if spec.select_counts and max(spec.select_counts) > data.d:
         raise UsageError(
-            f"--select {max(spec.select_counts)} exceeds feature count {raw.d}"
+            f"--select {max(spec.select_counts)} exceeds feature count "
+            f"{data.d}"
         )
     configs = spec.solver_configs()
     try:
-        configs[0].d_prime_for(raw.d, raw.n)  # d' and c are grid-wide
+        configs[0].d_prime_for(data.d, data.n)  # d' and c are grid-wide
     except ValueError as exc:
         # The solver words d' as d_prime, which a user who left --dim
         # unset never passed.
-        defaulted = spec.dim is None and spec.clusters > raw.d
+        defaulted = spec.dim is None and spec.clusters > data.d
         hint = " (--dim defaults to --clusters)" if defaulted else ""
         raise UsageError(f"{exc}{hint}") from exc
     # Made only once the input passed every usage check, so that an exit 2
     # leaves no empty directory behind.
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
-    data = _prepare(raw, spec.scale)
 
     rows = []
     for gi, cfg in enumerate(configs):

@@ -246,26 +246,6 @@ def _parse_csv(path, label_column) -> DataMatrix:
     return DataMatrix(rows.T, feature_names=feature_names, labels=labels)
 
 
-def write_csv(data: DataMatrix, path) -> None:
-    """Write samples-as-rows CSV that `load_csv` round-trips exactly.
-
-    Values are written with repr(), the shortest decimal form that parses
-    back to the identical float64.
-    """
-    names = data.feature_names or [f"f{i}" for i in range(data.d)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        head = list(names)
-        if data.labels is not None:
-            head.append("label")
-        writer.writerow(head)
-        for j in range(data.n):
-            row = [repr(float(v)) for v in data.values[:, j]]
-            if data.labels is not None:
-                row.append(str(int(data.labels[j])))
-            writer.writerow(row)
-
-
 def make_blobs(
     n_per_cluster: int,
     c: int,

@@ -19,10 +19,10 @@ shapes (with OpenBLAS: k >= 16, or c >= 255), so the row-wise product
 stays. -2 times its transpose (scaling by -2 is exact) is written into a
 cluster-major (c, n) array, one row of n per center, so the minimum and the
 index that attains it come from a few passes over c rows rather than from
-one short reduction per sample. Exact ties keep the lowest cluster index, as `np.argmin` does. A near-tie,
-one whose distance gap is within the rounding of that expansion (about
-1e-16 of ||y||^2 + ||c||^2), follows the expanded value, which may differ
-from the directly computed distance.
+one short reduction per sample. Exact ties keep the lowest cluster index,
+as `np.argmin` does. A near-tie, one whose distance gap is within the
+rounding of that expansion (about 1e-16 of ||y||^2 + ||c||^2), follows the
+expanded value, which may differ from the directly computed distance.
 
 Input must be finite. `run_kmeans` and `update_u_with_candidates` reject
 data whose sum of squares is not finite, which is data with a NaN or an
@@ -259,17 +259,17 @@ def run_kmeans(y: np.ndarray, c: int, seed: int) -> KMeansResult:
 
 
 def update_u_with_candidates(
-    y: np.ndarray, u_prev: IndicatorMatrix, c: int, r: int, seed: int
+    y: np.ndarray, u_prev: IndicatorMatrix, r: int, seed: int
 ) -> CandidateChoice:
     """Best of the incumbent and r fresh K-means runs, by fit.
 
     Each candidate is a `run_kmeans` run (at most LLOYD_MAX_STEPS, 100,
-    centroid updates) from a distinct derived seed, scored by
-    ||Y - G U^T||_F^2 under its own induced centroids; the incumbent is
-    scored the same way and wins ties, so the returned fit never exceeds
-    the incumbent's. When the incumbent wins, its own `u_prev` object is
-    returned. Non-finite y raises ValueError, as in `run_kmeans`, also when
-    r = 0.
+    centroid updates) from a distinct derived seed, with the cluster count
+    c taken from `u_prev`, scored by ||Y - G U^T||_F^2 under its own
+    induced centroids; the incumbent is scored the same way and wins ties,
+    so the returned fit never exceeds the incumbent's. When the incumbent
+    wins, its own `u_prev` object is returned. Non-finite y raises
+    ValueError, as in `run_kmeans`, also when r = 0.
 
     Each call logs one DEBUG line to the "ufcm.kmeans" logger: the winner,
     the restarts run, their Lloyd steps, the incumbent's fit and the
@@ -278,8 +278,6 @@ def update_u_with_candidates(
     y = np.ascontiguousarray(y, dtype=np.float64)
     if u_prev.n != y.shape[1]:
         raise ValueError("u_prev does not match the sample count")
-    if u_prev.n_clusters != c:
-        raise ValueError("u_prev cluster count mismatch")
     if r < 0:
         raise ValueError("r must be >= 0")
 
@@ -290,7 +288,7 @@ def update_u_with_candidates(
 
     winner, steps = -1, 0
     for i, s in enumerate(np.random.SeedSequence(seed).generate_state(r)):
-        cand = run_kmeans(y, c, int(s))
+        cand = run_kmeans(y, u_prev.n_clusters, int(s))
         steps += len(cand.fit_history)
         if cand.fit < best.fit:
             best, winner = cand, i

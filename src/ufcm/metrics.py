@@ -47,13 +47,6 @@ def select(data: DataMatrix, ranking: FeatureRanking, m: int) -> DataMatrix:
     )
 
 
-def max_variance_ranking(data: DataMatrix) -> FeatureRanking:
-    """Rank features by sample variance, descending."""
-    scores = data.values.var(axis=1, ddof=1)
-    order = np.argsort(-scores, kind="stable")
-    return FeatureRanking(scores=scores, order=order)
-
-
 def _as_indices(labels) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 1:
@@ -168,26 +161,22 @@ class EvalStats(NamedTuple):
 
 
 def evaluate_clustering(
-    data: DataMatrix, m: int, c: int, runs: int, seed: int
+    data: DataMatrix, c: int, runs: int, seed: int
 ) -> EvalStats:
-    """Repeated K-means on the first m feature rows, scored against labels.
+    """Repeated K-means on every feature row, scored against labels.
 
-    Rows are taken in the order they appear, so pass `select` output (or any
-    matrix whose leading rows are the features to test). Each run uses a
-    distinct seed derived from `seed`; means and standard deviations (ddof 0)
-    of accuracy and mutual information are reported.
+    Pass `select` output to test a feature subset. Each run uses a distinct
+    seed derived from `seed`; means and standard deviations (ddof 0) of
+    accuracy and mutual information are reported.
     """
     if data.labels is None:
         raise ValueError("ground-truth labels are required for evaluation")
-    if not 1 <= m <= data.d:
-        raise ValueError(f"m={m} out of range [1, {data.d}]")
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    values = data.values[:m]
     accs = np.empty(runs)
     nmis = np.empty(runs)
     for i, s in enumerate(np.random.SeedSequence(seed).generate_state(runs)):
-        pred = run_kmeans(values, c, int(s)).indicator.assignments
+        pred = run_kmeans(data.values, c, int(s)).indicator.assignments
         accs[i] = accuracy(pred, data.labels)
         nmis[i] = nmi(pred, data.labels)
     return EvalStats(

@@ -103,7 +103,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
+        for name in ("alpha", "beta", "tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(
                     f"{name} must be finite, got {getattr(self, name)}"
@@ -382,7 +382,7 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
     iterations = 0
     for i in range(1, cfg.max_iter + 1):
         d_diag = compute_d(w, cfg)
-        km = update_u_with_candidates(y, u, cfg.c, cfg.r, int(seeds[i]))
+        km = update_u_with_candidates(y, u, cfg.r, int(seeds[i]))
         changes = 0
         if km.winner >= 0:  # restart ids are arbitrary: match them first
             overlap = accuracy(km.indicator.assignments, u.assignments) * n

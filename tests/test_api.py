@@ -15,9 +15,11 @@ DELETED = [
     "assign",
     "l2p_norm",
     "labeled_scatters",
+    "max_variance_ranking",
     "objective",
     "pca_init",
     "total_scatter",
+    "write_csv",
 ]
 
 

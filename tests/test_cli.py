@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from ufcm.cli import (
     main,
     run_experiment,
 )
-from ufcm.dataset import DataMatrix, make_blobs, write_csv
+from conftest import write_csv
+from ufcm.dataset import DataMatrix, load_csv, make_blobs
 from ufcm.solver import SolverConfig, SolverTrace, solve
 
 BLOBS = (
@@ -235,6 +237,41 @@ def test_csv_input_path(tmp_path):
     assert record["evaluation"]["2"]["acc_mean"] >= 0.9
 
 
+def test_the_raw_matrix_is_freed_before_the_first_solve(
+    tmp_path, monkeypatch
+):
+    # Only the prepared matrix is needed through the grid; the loaded one
+    # would stay resident beside it for the whole run.
+    data = make_blobs(12, 2, 2, 3, separation=4.0, noise_scale=1.0, seed=1)
+    csv_path = tmp_path / "data.csv"
+    write_csv(data, csv_path)
+    loaded, alive = [], []
+
+    def load(*args, **kwargs):
+        raw = load_csv(*args, **kwargs)
+        loaded.append(weakref.ref(raw))
+        return raw
+
+    def solve_and_look(*args):
+        alive.append(loaded[0]() is not None)
+        return solve(*args)
+
+    monkeypatch.setattr("ufcm.cli.load_csv", load)
+    monkeypatch.setattr("ufcm.cli.solve", solve_and_look)
+    code = main(
+        [
+            "--input", str(csv_path),
+            "--label-column", "label",
+            "--clusters", "2",
+            "--alpha", "0.5,2",
+            "--max-iter", "1",
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 0
+    assert alive == [False, False]
+
+
 def test_csv_record_digest_is_sha256_of_the_file(tmp_path):
     data = make_blobs(12, 2, 2, 3, separation=4.0, noise_scale=1.0, seed=1)
     csv_path = tmp_path / "data.csv"
@@ -389,6 +426,7 @@ DIM_HINT = "(--dim defaults to --clusters)"
         pytest.param(["--beta", "nan"], "beta must be finite", id="beta-nan"),
         pytest.param(["--p", "3"], "p must lie in (0, 2)", id="p"),
         pytest.param(["--tol", "0"], "tol must be > 0", id="tol"),
+        pytest.param(["--tol", "inf"], "tol must be finite", id="tol-inf"),
         pytest.param(["--dim", "0"], "d_prime must be >= 1", id="dim"),
         pytest.param(["--restarts", "-1"], "r must be >= 0", id="restarts"),
         pytest.param(

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import write_csv
 from ufcm.dataset import (
     CsvFormatError,
     DataMatrix,
     center,
     load_csv,
     make_blobs,
-    write_csv,
 )
 
 

@@ -149,7 +149,7 @@ def test_run_kmeans_rejects_too_many_clusters(rng):
 def test_update_u_r0_returns_incumbent(rng):
     y = rng.normal(size=(2, 12))
     u_prev = run_kmeans(y, 3, seed=0).indicator
-    res = update_u_with_candidates(y, u_prev, 3, r=0, seed=1)
+    res = update_u_with_candidates(y, u_prev, r=0, seed=1)
     assert res.indicator is u_prev
     assert np.allclose(res.centers, centroids(y, u_prev))
     assert res.fit == pytest.approx(
@@ -167,7 +167,7 @@ def test_update_u_keeps_exhaustive_optimum():
         if res.fit <= target + 1e-8:
             break
     assert res.fit <= target + 1e-8
-    again = update_u_with_candidates(y, res.indicator, 2, r=8, seed=123)
+    again = update_u_with_candidates(y, res.indicator, r=8, seed=123)
     assert again.fit == pytest.approx(res.fit, abs=1e-10)
 
 
@@ -179,7 +179,7 @@ def test_update_u_never_increases_fit(seed):
     labels[:3] = [0, 1, 2]
     u_prev = IndicatorMatrix(labels, 3)
     incumbent_fit = fit_of(y, centroids(y, u_prev), labels)
-    res = update_u_with_candidates(y, u_prev, 3, r=3, seed=seed)
+    res = update_u_with_candidates(y, u_prev, r=3, seed=seed)
     assert res.fit <= incumbent_fit + 1e-12
 
 
@@ -288,7 +288,7 @@ def test_update_u_picks_the_direct_fit_loops_winner(make, c):
         # An incumbent from one more run, so restarts both win and lose.
         u_prev = run_kmeans(y, c, seed + 100).indicator
         winner, fit, steps = oracle_update_u(y, u_prev, c, 3, seed)
-        res = update_u_with_candidates(y, u_prev, c, r=3, seed=seed)
+        res = update_u_with_candidates(y, u_prev, r=3, seed=seed)
         assert res.winner == winner
         assert res.fit == fit
         assert res.lloyd_steps == steps
@@ -323,8 +323,8 @@ def test_non_contiguous_views_give_the_bits_of_their_copy(view):
         assert np.array_equal(a.centers, b.centers)
         assert a.fit == b.fit and a.fit_history == b.fit_history
         u_prev = run_kmeans(y, 5, seed + 10).indicator
-        a = update_u_with_candidates(v, u_prev, 5, r=3, seed=seed)
-        b = update_u_with_candidates(y, u_prev, 5, r=3, seed=seed)
+        a = update_u_with_candidates(v, u_prev, r=3, seed=seed)
+        b = update_u_with_candidates(y, u_prev, r=3, seed=seed)
         assert np.array_equal(a.indicator.assignments, b.indicator.assignments)
         assert np.array_equal(a.centers, b.centers)
         assert (a.fit, a.winner, a.lloyd_steps) == (
@@ -350,7 +350,7 @@ def test_update_u_rejects_non_finite_entries(bad, r):
     u_prev = run_kmeans(y, 3, seed=0).indicator
     y[0, 3] = y[1, 20] = bad
     with pytest.raises(ValueError, match=r"\(2 of 60\): y\[0, 3\] = "):
-        update_u_with_candidates(y, u_prev, 3, r=r, seed=1)
+        update_u_with_candidates(y, u_prev, r=r, seed=1)
 
 
 def test_run_kmeans_rejects_data_too_large_to_square():

@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ufcm
+from baselines import max_variance_ranking
 from ufcm.dataset import DataMatrix, center, make_blobs
 from ufcm.metrics import (
     accuracy,
     contingency,
     evaluate_clustering,
-    max_variance_ranking,
     nmi,
     rank_features,
     select,
@@ -339,25 +339,26 @@ def test_evaluate_clustering_on_exact_onehot_encodings():
     onehot = np.zeros((3, 12))
     onehot[labels, np.arange(12)] = 1.0
     data = DataMatrix(onehot, labels=labels)
-    stats = evaluate_clustering(data, m=3, c=3, runs=5, seed=0)
+    stats = evaluate_clustering(data, c=3, runs=5, seed=0)
     assert stats.acc_mean == 1.0 and stats.acc_std == 0.0
     assert stats.nmi_mean == 1.0 and stats.nmi_std == 0.0
 
 
 def test_evaluate_clustering_single_run_zero_std():
     data = make_blobs(20, 2, 3, 2, separation=5.0, noise_scale=1.0, seed=0)
-    stats = evaluate_clustering(data, m=5, c=2, runs=1, seed=3)
+    stats = evaluate_clustering(data, c=2, runs=1, seed=3)
     assert stats.acc_std == 0.0 and stats.nmi_std == 0.0
 
 
 def test_evaluate_clustering_informative_subset_scores_high():
     data = make_blobs(50, 3, 5, 45, separation=5.0, noise_scale=1.0, seed=1)
     centered = center(data)
-    stats = evaluate_clustering(centered, m=5, c=3, runs=5, seed=7)
+    informative = DataMatrix(centered.values[:5], labels=centered.labels)
+    stats = evaluate_clustering(informative, c=3, runs=5, seed=7)
     assert stats.acc_mean >= 0.95
 
 
 def test_evaluate_clustering_requires_labels(rng):
     data = DataMatrix(rng.normal(size=(3, 10)))
     with pytest.raises(ValueError, match="labels"):
-        evaluate_clustering(data, 2, 2, 3, 0)
+        evaluate_clustering(data, 2, 3, 0)

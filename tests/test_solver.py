@@ -59,6 +59,7 @@ def test_config_validation():
         dict(c=0),
         dict(max_iter=0),
         dict(tol=0.0),
+        dict(tol=float("inf")),
         dict(eps_row=0.0),
         dict(r=-1),
     ):
@@ -320,7 +321,8 @@ def test_trace_reports_the_u_update_per_state(monkeypatch):
 def test_a_relabelled_incumbent_records_no_assignment_changes(monkeypatch):
     # Restart cluster ids are arbitrary: a winning restart that finds the
     # incumbent's partition under other ids moved no sample.
-    def relabel(y, u_prev, c, r, seed):
+    def relabel(y, u_prev, r, seed):
+        c = u_prev.n_clusters
         u = IndicatorMatrix((u_prev.assignments + 1) % c, c)
         centers = kmeans.centroids(y, u)
         fit = kmeans.fit_value(y, centers, u.assignments)
