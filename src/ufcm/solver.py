@@ -68,6 +68,7 @@ import numpy as np
 
 from .kmeans import (
     IndicatorMatrix,
+    KMeansResult,
     centroid_sums,
     centroids,
     fit_value,
@@ -174,6 +175,27 @@ class SolverResult:
     trace: SolverTrace
     converged: bool
     iterations: int
+
+
+@dataclass(frozen=True)
+class SolverStart:
+    """A solve's initial state, which depends only on X, c, d' and the seed.
+
+    `gram` is X X^T, held only on the dense path (d <= n); `eig` is the PCA
+    init, the top d' eigenpairs of X X^T; `km` is the init K-means run on
+    W^T X. A grid over alpha, beta, p or max_iter shares one start:
+    `SeedSequence.generate_state` is prefix-stable, so the init run's seed
+    does not depend on max_iter. `solve` refuses a start whose shape, d',
+    c or seed differ from its own.
+    """
+
+    shape: tuple[int, int]
+    d_prime: int
+    c: int
+    seed: int
+    gram: np.ndarray | None
+    eig: EigenPairs
+    km: KMeansResult
 
 
 @dataclass(frozen=True)
@@ -307,11 +329,43 @@ def update_g(y: np.ndarray, u: IndicatorMatrix) -> np.ndarray:
     return centroids(y, u)
 
 
-def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
+def _checked(x, cfg: SolverConfig) -> tuple[np.ndarray, int]:
+    """X as a C-order float64 array, and d'; raises ValueError unless X is
+    a finite, centered (d, n) matrix that fits cfg."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("x must be a (d, n) matrix")
+    require_centered(x)
+    return x, cfg.d_prime_for(*x.shape)
+
+
+def build_start(x: np.ndarray, cfg: SolverConfig) -> SolverStart:
+    """The initial state `solve(x, cfg)` would compute (see `SolverStart`)."""
+    return _start(*_checked(x, cfg), cfg)
+
+
+def _start(x: np.ndarray, d_prime: int, cfg: SolverConfig) -> SolverStart:
+    d, n = x.shape
+    if _matrix_free(d, n):
+        gram = None
+        eig = gram_eig_top(x, d_prime)
+    else:
+        gram = x @ x.T
+        eig = sym_eig_top(gram, d_prime)
+    seed = np.random.SeedSequence(cfg.seed).generate_state(1)[0]
+    km = run_kmeans(eig.vectors.T @ x, cfg.c, int(seed))
+    return SolverStart((d, n), d_prime, cfg.c, cfg.seed, gram, eig, km)
+
+
+def solve(
+    x: np.ndarray, cfg: SolverConfig, start: SolverStart | None = None
+) -> SolverResult:
     """Run the full alternating loop on a centered (d, n) matrix.
 
     Initialization: W from PCA on X, U from one K-means run on W^T X, G from
-    the centroid closed form. Each subsequent iteration recomputes the
+    the centroid closed form; `start`, from `build_start` on the same X,
+    gives that state precomputed, with the same bits (ValueError if it was
+    built for another shape, d', c or seed). Each subsequent iteration recomputes the
     reweighting diagonal, refreshes U against r restarted candidates, takes W
     from the top eigenvectors of M (dense or matrix-free by the shape; see
     the module docstring), and updates G. Stops when the relative
@@ -323,24 +377,22 @@ def solve(x: np.ndarray, cfg: SolverConfig) -> SolverResult:
     objective, how W was computed (eig_path, eig_steps) and how U was
     chosen (lloyd_steps, u_winner).
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("x must be a (d, n) matrix")
+    x, d_prime = _checked(x, cfg)
     d, n = x.shape
-    require_centered(x)
-    d_prime = cfg.d_prime_for(d, n)
-
-    if _matrix_free(d, n):
-        gram = None
-        eig = gram_eig_top(x, d_prime)
-    else:
-        gram = x @ x.T
-        eig = sym_eig_top(gram, d_prime)
+    if start is None:
+        start = _start(x, d_prime, cfg)
+    want = ((d, n), d_prime, cfg.c, cfg.seed)
+    have = (start.shape, start.d_prime, start.c, start.seed)
+    if have != want:
+        raise ValueError(
+            "start built for (shape, d', c, seed) = "
+            f"{have}, not {want}"
+        )
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.max_iter + 1)
 
+    gram, eig, km = start.gram, start.eig, start.km
     w = eig.vectors
     y = w.T @ x  # shared by the terms, the G update and the next U update
-    km = run_kmeans(y, cfg.c, int(seeds[0]))
     u, g = km.indicator, km.centers
     steps, winner = len(km.fit_history), -1
 

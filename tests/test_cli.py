@@ -19,6 +19,7 @@ from ufcm.cli import (
     run_experiment,
 )
 from conftest import write_csv
+from ufcm import solver
 from ufcm.dataset import DataMatrix, load_csv, make_blobs
 from ufcm.solver import SolverConfig, SolverTrace, solve
 
@@ -126,6 +127,33 @@ def test_grid_4x4x3_produces_48_records(tmp_path):
     assert (cfg.alpha, cfg.beta, cfg.p) == (1e3, 1e3, 1.5)
 
 
+def test_a_grid_shares_one_start(tmp_path, monkeypatch):
+    # The PCA eigh and the init K-means run go through the solver's names;
+    # every other eigh is a W step, which the records count.
+    calls = {"run_kmeans": 0, "sym_eig_top": 0}
+
+    def counted(name):
+        inner = getattr(solver, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counted(name))
+    out = tmp_path / "out"
+    run_experiment(spec_for(out, alpha=[0.1, 1.0, 10.0], max_iter=3))
+    w_steps = 0
+    for gi in range(3):
+        record, _ = load_record(out / f"record_gp{gi:03d}.json")
+        paths = record["trace"]["eig_path"]
+        assert paths[0] == "dense"
+        w_steps += sum(p != "krylov" for p in paths[1:])
+    assert calls == {"run_kmeans": 1, "sym_eig_top": 1 + w_steps}
+
+
 def test_repeat_runs_byte_identical_modulo_timing(tmp_path):
     run_experiment(spec_for(tmp_path / "a"))
     run_experiment(spec_for(tmp_path / "b"))
@@ -142,8 +170,8 @@ def test_repeat_runs_byte_identical_modulo_timing(tmp_path):
 def test_record_trace_is_the_solver_trace(tmp_path, monkeypatch):
     results = []
 
-    def recording_solve(x, cfg):
-        result = solve(x, cfg)
+    def recording_solve(x, cfg, start):
+        result = solve(x, cfg, start)
         # A non-finite value in a field the solver keeps finite.
         result.trace.w_orth_error[-1] = math.nan
         results.append(result)
@@ -309,9 +337,9 @@ def test_scale_gives_centered_unit_variance_features(tmp_path, monkeypatch):
     write_csv(DataMatrix(values, labels=blobs.labels), csv_path)
     solved = []
 
-    def spy(x, cfg):
+    def spy(x, cfg, start):
         solved.append(x)
-        return solve(x, cfg)
+        return solve(x, cfg, start)
 
     monkeypatch.setattr("ufcm.cli.solve", spy)
     out = tmp_path / "out"

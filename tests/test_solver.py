@@ -14,6 +14,7 @@ from ufcm import kmeans, solver
 from ufcm.solver import (
     SolverConfig,
     build_m,
+    build_start,
     compute_d,
     solve,
     update_g,
@@ -365,6 +366,43 @@ def test_solve_deterministic_bit_identical():
     assert np.array_equal(a.u.assignments, b.u.assignments)
     assert a.trace.objective == b.trace.objective
     assert a.iterations == b.iterations
+
+
+@pytest.mark.parametrize("shape", [(20, 60), (80, 12)])
+def test_solve_from_a_shared_start_is_bit_identical(shape):
+    # One start serves a grid: alpha, beta, p and max_iter do not enter it.
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=shape)
+    x -= x.mean(axis=1, keepdims=True)
+    start = build_start(x, cfg_for(alpha=7.0, beta=0.0, p=0.5, max_iter=1))
+    for alpha in (0.1, 1.0, 10.0):
+        cfg = cfg_for(alpha=alpha, seed=0, max_iter=4)
+        a = solve(x, cfg)
+        b = solve(x, cfg, start)
+        assert np.array_equal(a.w, b.w)
+        assert np.array_equal(a.g, b.g)
+        assert np.array_equal(a.u.assignments, b.u.assignments)
+        assert vars(a.trace) == vars(b.trace)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(d=9),
+        dict(n=31),
+        dict(d_prime=2),
+        dict(c=4),
+        dict(seed=1),
+    ],
+)
+def test_solve_refuses_a_start_built_for_another_problem(change):
+    def problem(d=8, n=30, **kw):
+        x = np.random.default_rng(0).normal(size=(d, n))
+        return x - x.mean(axis=1, keepdims=True), cfg_for(**{"seed": 0, **kw})
+
+    x, cfg = problem()
+    with pytest.raises(ValueError, match="start built for"):
+        solve(x, cfg, build_start(*problem(**change)))
 
 
 def test_solve_scaling_homogeneity():
