@@ -4,13 +4,13 @@ Pipeline: load or generate the data and center it (optionally scaling to
 unit variance), and build the solver's start (`solver.build_start`: the
 PCA init and the init K-means run, which depend on the data, c, d' and the
 seed but not on alpha, beta or p), once per run; then, per grid point,
-solve from that shared start, rank features, select each requested
-count, and evaluate by repeated K-means against
-ground-truth labels. One JSON record and one columnar trace file per grid
-point, a flat CSV summary across all of them, and (when labels exist) the
-best-by-accuracy row in a separate file, since picking by accuracy is an
-oracle selection unavailable to a truly unsupervised user. Grid points run
-one after another in grid order.
+solve from that shared start, rank features, select each requested count,
+and evaluate by repeated K-means against ground-truth labels. One JSON
+record and one columnar trace file per grid point, a flat CSV summary
+across all of them, and (when labels exist) the best-by-accuracy row in a
+separate file, since picking by accuracy is an oracle selection
+unavailable to a truly unsupervised user. Grid points run one after
+another in grid order.
 
 The grid is the product of the solver hyperparameters, alpha-major. Each
 takes one value or a comma list under either of two spellings of one
@@ -221,7 +221,9 @@ def emit_trace(result: SolverResult, path) -> None:
             )
 
 
-def _run_grid_point(data, spec, source, gi, cfg, start, start_s) -> list[dict]:
+def _run_grid_point(
+    data, spec, source, gi, cfg, start, start_s
+) -> list[dict]:
     """Solve one (alpha, beta, p) point from the grid's shared start, built
     in `start_s` seconds, and write its record and trace."""
     out = Path(spec.out)

@@ -164,8 +164,8 @@ def load_csv(path, label_column: str | int | None = None) -> DataMatrix:
 
     Raises:
         CsvFormatError: on an empty cell, an unparseable or non-finite value
-            (row and column reported), a ragged row, no data rows, or
-            non-UTF-8 text.
+            (row and column reported), a ragged row, fewer than two data
+            rows, no feature column besides the label, or non-UTF-8 text.
     """
     try:
         return _parse_csv(path, label_column)
@@ -232,6 +232,12 @@ def _parse_csv(path, label_column) -> DataMatrix:
         raise CsvFormatError(f"{path}: no data rows")
     if rows.shape[1] != n_cols or not np.isfinite(rows).all():
         _raise_first_bad_cell(path, header, n_cols, label_idx, "bad cell")
+    if len(rows) < 2:
+        raise CsvFormatError(
+            f"{path}: one data row; need at least two samples"
+        )
+    if label_idx is not None and n_cols == 1:
+        raise CsvFormatError(f"{path}: no feature column besides the label")
 
     labels = None
     if label_idx is not None:

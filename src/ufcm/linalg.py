@@ -49,7 +49,10 @@ class EigenPairs:
     "dense" for a direct LAPACK decomposition, "krylov" for Ritz pairs of
     `block_krylov_top`, and "krylov-fallback" (set by
     `solver.update_w`) for a dense decomposition taken after a Krylov loop
-    was abandoned, whose steps and checks are then counted.
+    was abandoned, whose steps and checks are then counted. `stop` names
+    why a Krylov loop stopped short: "step cap", "stall", "invariant
+    basis", "full basis", or "floor" (set by `solver.update_w`); it is
+    empty otherwise.
     """
 
     values: np.ndarray   # (k,)
@@ -59,6 +62,7 @@ class EigenPairs:
     checks: int = 0
     converged: bool = True
     path: str = "dense"
+    stop: str = ""
 
 
 def require_centered(x: np.ndarray) -> None:
@@ -150,7 +154,9 @@ def gram_eig_top(x: np.ndarray, k: int) -> EigenPairs:
 
 
 def block_krylov_top(
-    apply: Callable[[np.ndarray], np.ndarray], start: np.ndarray
+    apply: Callable[[np.ndarray], np.ndarray],
+    start: np.ndarray,
+    stall: bool = False,
 ) -> EigenPairs:
     """Top-k Ritz pairs of a symmetric operator, warm-started at `start`.
 
@@ -175,7 +181,10 @@ def block_krylov_top(
     residual reaches its tolerance, at most `_MAX_GAP` steps on (again
     `_FIRST_GAP` if the residual did not fall). A check also comes at the
     step cap and at every step whose next block could give the basis d
-    columns, so converged pairs never leave through that exit.
+    columns, so converged pairs never leave through that exit. With
+    `stall`, the loop also stops at a check whose residual is no lower
+    than the one before, for a caller to whom a dense decomposition is
+    cheaper than a slow loop.
 
     The residual cannot fall below the round-off of `eigh` on T, about
     eps * ||T||. When A has entries far above its top eigenvalues (the
@@ -188,15 +197,15 @@ def block_krylov_top(
     Tr(W^T A W) >= Tr(S^T A S) wherever the loop stops. The tolerance sets
     the accuracy, not the ascent.
 
-    `converged` is False when the loop stopped short of the tolerance: at
-    the step cap, when the next block would give the basis d columns, or
-    when the basis became invariant first. An invariant basis gives exact
-    eigenpairs, but not necessarily the top k: a start confined to an
-    invariant subspace of A never leaves it. The same holds, undetected,
-    for a start that reaches the tolerance inside such a subspace; only the
-    caller, who knows A, can rule that out (see `solver.update_w`). The
-    Ritz pairs are returned either way; the caller decides whether to use
-    them.
+    `converged` is False when the loop stopped short of the tolerance, and
+    `stop` says where: at the step cap, at a stall, when the next block
+    would give the basis d columns ("full basis"), or when the basis became
+    invariant first. An invariant basis gives exact eigenpairs, but not
+    necessarily the top k: a start confined to an invariant subspace of A
+    never leaves it. The same holds, undetected, for a start that reaches
+    the tolerance inside such a subspace; only the caller, who knows A, can
+    rule that out (see `solver.update_w`). The Ritz pairs are returned
+    either way; the caller decides whether to use them.
     """
     start = np.asarray(start, dtype=np.float64)
     d, k = start.shape
@@ -223,9 +232,15 @@ def block_krylov_top(
                 q[:, :hi], aq[:, :hi], t[:hi, :hi], k
             )
             checks += 1
-            if ritz.converged or steps == KRYLOV_MAX_STEPS:
+            if ritz.converged:
+                break
+            if steps == KRYLOV_MAX_STEPS:
+                ritz.stop = "step cap"
                 break
             log_excess = math.log(excess)
+            if stall and last is not None and log_excess >= last[1]:
+                ritz.stop = "stall"
+                break
             due = _next_check(steps, log_excess, last)
             last = steps, log_excess
 
@@ -245,6 +260,7 @@ def block_krylov_top(
                 )
                 checks += 1
             ritz.converged = False
+            ritz.stop = "full basis" if width else "invariant basis"
             break
         new = u[:, keep]
         new -= q[:, :hi] @ (q[:, :hi].T @ new)

@@ -13,46 +13,77 @@ The tracked regularizer is the p-th power of the row-norm aggregate (the
 form whose quadratic surrogate the reweighting diagonal majorizes); the
 trace field name `regularizer_pow_p` records the convention.
 
-The W step has two paths, which `solve` alone chooses by the shape of the
-(d, n) input (`_matrix_free`); it holds X X^T exactly on the dense one:
+`build_m` returns M = (1 - alpha) X X^T + alpha S S^T - beta D as an
+`MOperator`, with S the (d, c) scaled cluster sums; a d x d M is formed
+only for a dense eigh. `solve` alone picks the W step's path, from the
+shape of the (d, n) input, d' and what happened earlier in the solve:
 
-- dense (d <= n): `build_m` forms the d x d matrix M and `sym_eig_top`
-  decomposes it in full. The PCA init decomposes X X^T.
-- matrix-free (d > n): `build_m` returns an `MOperator`, which applies
-  M = (1 - alpha) X X^T + alpha S S^T - beta D to thin (d, b) blocks
-  through the (d, n) data and the (d, c) scaled cluster sums S, at
-  O(d (n + c) b) per apply, or O(d c b) at alpha = 1, and `update_w` takes
-  the top d' Ritz pairs from a block Krylov basis warm-started at the
-  previous W (`linalg.block_krylov_top`, which checks the pairs at steps
-  extrapolated from the residual's rate of fall). No d x d array exists on this
-  path unless the Krylov loop stops short of its tolerance (step cap, an
-  invariant basis, or a basis that would fill R^d) or its Ritz values fall
-  below a lower bound on M's top d' eigenvalues (`MOperator.top_floor`);
-  W then comes from the dense path instead, recorded as
-  "krylov-fallback". The PCA init maps the top eigenvectors of the n x n
-  X^T X through X (`linalg.gram_eig_top`).
+- Krylov: `update_w` takes the top d' Ritz pairs from a block Krylov
+  basis warm-started at the previous W (`linalg.block_krylov_top`, which
+  checks the pairs at steps extrapolated from the residual's rate of
+  fall), applying M to thin (d, b) blocks.
+  - d > n (matrix-free): no X X^T is held. M applies through the (d, n)
+    data at O(d (n + c) b), or O(d c b) at alpha = 1. The PCA init maps
+    the top eigenvectors of the n x n X^T X through X
+    (`linalg.gram_eig_top`).
+  - n >= d > (KRYLOV_MAX_STEPS + 1) d' = 65 d': M applies through the held
+    X X^T at O(d (d + c) b). Above that width the basis can never fill
+    R^d.
+- dense, otherwise: `sym_eig_top` decomposes the d x d M in full. The PCA
+  init decomposes the held X X^T.
+
+The start (`SolverStart`: X X^T when d <= n, the PCA eigenpairs and the
+init K-means run) depends on X, c, d' and the seed only, so a grid over
+alpha, beta and p builds it once (`build_start`).
+
+A Krylov W step falls back to the dense eigh of M ("krylov-fallback") when
+the loop stops short of its tolerance (step cap, an invariant basis, or a
+basis that would fill R^d), or when its Ritz values fall below a lower
+bound on M's top d' eigenvalues (`MOperator.top_floor`, from the start's
+X X^T eigenvalues and, for d > n, from the null space of X^T). On the
+d <= n shape, forming M needs no product with X, so the loop also stops
+as soon as its residual fails to fall between two checks ("stall"), and
+after one fallback the rest of the solve is dense. The d > n shape keeps
+trying Krylov each W step and has no stall stop: there a fallback forms
+the d x d X X^T. With a stall stop, a 1200 x 200 solve (benchmark seed
+402) stalled on its third W step, and the process's peak resident memory
+rose from 50 to 109 MB.
+
+Why these rules, from single-process first W steps on the benchmark's
+blob generator (c = 5, beta = p = 1, seeds 101-106, shapes 800 x 1500,
+500 x 1000 and 400 x 2000, 2 vCPUs):
+
+- alpha = 10: the residual rose over the first 4 block steps in all 18
+  first W steps; the stall stop falls back after those 4 steps instead of
+  the 64 of the step cap.
+- alpha = 2: on the 800- and 500-feature shapes the residual kept falling
+  slowly, and every first W step ran 64 steps before falling back; on
+  400 x 2000 they converged in 55-62 steps.
+- alpha = 0.1: the stall stop misfired on 3 of 54 W steps, costing speed
+  only; the dense eigh it falls back to is exact.
+- 200 x 5000 at d' = 10 (d = 20 d'), forced onto the Krylov loop: its W
+  steps took 44 ms per solve against 20 ms dense (medians of 9 solves).
 
 Either form of M leaves out a term whose weight is exactly 0, the X X^T
 term at alpha = 1 and the D term at beta = 0, and never forms it. The
 terms it keeps are formed and added as in the full sum, so M has the same
 bits, up to the sign of an exact zero.
 
-The switch point d = n is where the d x d problem stops being smaller than
-the data. No benchmark workload has d > n with d near n or d small.
-Single-process solves of seeded blobs (4 outer iterations, 2 vCPUs, each
-path forced, quartiles of 9) put the matrix-free path behind only at the
-shape nearest d = n: 300 x 250 took 89-94-100 ms dense and 98-109-114 ms
-matrix-free, 800 x 700 597-608-660 and 432-441-485 ms, and 400 x 80
-111-113-125 and 59-62-65 ms.
+The switch point d = n for holding X X^T is where the d x d problem stops
+being smaller than the data. No benchmark workload has d > n with d near
+n or d small. Single-process solves of seeded blobs (4 outer iterations,
+2 vCPUs, each path forced, quartiles of 9) put the matrix-free path behind
+only at the shape nearest d = n: 300 x 250 took 89-94-100 ms dense and
+98-109-114 ms matrix-free, 800 x 700 597-608-660 and 432-441-485 ms, and
+400 x 80 111-113-125 and 59-62-65 ms.
 
 The previous W lies in the Krylov basis, so the Ritz W has Tr(W^T M W) >=
 Tr(W_prev^T M W_prev) wherever the loop stops: the W step stays an ascent
 step and the objective stays monotone whatever the tolerance. The Ritz
 vectors match the dense eigenvectors to the Krylov tolerance, not to
-round-off (subspaces within about 1e-9 on blob inputs), so for d > n the
-results differ slightly from the dense path's on the same input, which
-is what earlier versions always took. Each path is bit-reproducible on its
-own.
+round-off (subspaces within about 1e-9 on blob inputs), so on a Krylov
+shape the results differ slightly from the dense path's on the same
+input. Each path is bit-reproducible on its own.
 
 Input X must be centered (features-by-samples); use `dataset.center` first.
 Labels never enter: `solve` takes a bare ndarray.
@@ -76,6 +107,7 @@ from .kmeans import (
     update_u_with_candidates,
 )
 from .linalg import (
+    KRYLOV_MAX_STEPS,
     EigenPairs,
     block_krylov_top,
     gram_eig_top,
@@ -85,6 +117,10 @@ from .linalg import (
 from .metrics import accuracy
 
 _log = logging.getLogger(__name__)
+
+# Share of lambda_1(X X^T) by which `MOperator.top_floor` lowers
+# lambda_k(X X^T), to stay below it through the round-off of its eigh.
+_GRAM_SLACK = 1e-12
 
 
 @dataclass
@@ -203,10 +239,13 @@ class MOperator:
     """M = (1 - alpha) X X^T + alpha S S^T - beta D as a product, unformed.
 
     S is the (d, c) matrix of cluster sums over sqrt(cluster size), so
-    S S^T = X U (U^T U)^{-1} U^T X^T. Applying M to a (d, b) block costs
-    O(d (n + c) b), or O(d c b) at alpha = 1; `dense` forms the d x d
-    matrix for the fallback. A term with weight 0 (alpha = 1 for X X^T,
-    beta = 0 for D) is never formed, in either form.
+    S S^T = X U (U^T U)^{-1} U^T X^T. `gram` is X X^T when the solve holds
+    it (d <= n): applying M to a (d, b) block then costs O(d (d + c) b),
+    and without it O(d (n + c) b), through X; O(d c b) at alpha = 1.
+    `dense` forms the d x d matrix for a dense eigh, from `gram` when held.
+    A term with weight 0 (alpha = 1 for X X^T, beta = 0 for D) is never
+    formed, in either form. `gram_top` holds the top eigenvalues of X X^T,
+    descending, when known; `top_floor` reads them.
     """
 
     x: np.ndarray       # (d, n), centered
@@ -214,26 +253,29 @@ class MOperator:
     d_diag: np.ndarray  # (d,)
     alpha: float
     beta: float
+    gram: np.ndarray | None = None      # (d, d)
+    gram_top: np.ndarray | None = None  # (k,)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         out = self.alpha * (self.scaled @ (self.scaled.T @ v))
         if self.alpha != 1.0:
-            data = self.x @ (self.x.T @ v)
+            if self.gram is None:
+                data = self.x @ (self.x.T @ v)
+            else:
+                data = self.gram @ v
             data *= 1.0 - self.alpha
             out += data
         if self.beta != 0.0:
             out -= (self.beta * self.d_diag)[:, None] * v
         return out
 
-    def dense(self, gram: np.ndarray | None = None) -> np.ndarray:
-        """M as an exactly symmetric d x d array; `gram` is X X^T if
-        already computed, and is neither formed nor read at alpha = 1.
-        Each product is one symmetric BLAS update."""
+    def dense(self) -> np.ndarray:
+        """M as an exactly symmetric d x d array. X X^T is neither formed
+        nor read at alpha = 1. Each product is one symmetric BLAS update."""
         m = self.scaled @ self.scaled.T
         m *= self.alpha
         if self.alpha != 1.0:
-            if gram is None:
-                gram = self.x @ self.x.T
+            gram = self.x @ self.x.T if self.gram is None else self.gram
             m += np.multiply(gram, 1.0 - self.alpha)
         if self.beta != 0.0:
             m[np.diag_indices_from(m)] -= self.beta * self.d_diag
@@ -242,22 +284,40 @@ class MOperator:
     def top_floor(self, k: int) -> float:
         """A lower bound on M's k-th largest eigenvalue, -inf if none.
 
-        X has centered rows, so rank(X) <= n - 1 and R^d has a subspace of
-        dimension d - n + 1 orthogonal to X's columns. There z^T M z =
-        -beta z^T D z >= -beta max(D), so by Courant-Fischer the k-th
-        eigenvalue is at least -beta max(D) when k <= d - n + 1. With
-        beta = 0 that bound is 0, which a start inside range(X) misses:
-        M maps range(X) into itself, and for alpha > 1 M has negative
-        eigenvalues there.
+        Two bounds, of which the higher is returned:
+
+        - X has centered rows, so rank(X) <= n - 1 and R^d has a subspace
+          of dimension d - n + 1 orthogonal to X's columns. There z^T M z =
+          -beta z^T D z >= -beta max(D), so by Courant-Fischer the k-th
+          eigenvalue is at least -beta max(D) when k <= d - n + 1. With
+          beta = 0 that bound is 0, which a start inside range(X) misses:
+          M maps range(X) into itself, and for alpha > 1 M has negative
+          eigenvalues there.
+        - Weyl's inequality with alpha S S^T positive semidefinite gives
+          lambda_k(M) >= lambda_k((1 - alpha) X X^T) - beta max(D). For
+          alpha <= 1 that is (1 - alpha) lambda_k(X X^T). For alpha > 1 it
+          is (1 - alpha) lambda_{d-k+1}(X X^T), which is at least
+          (1 - alpha) lambda_k(X X^T) when d - k + 1 >= k: low, unless X
+          has rank below k, where it gives the first bound's -beta max(D)
+          for any d and n. Needs lambda_k(X X^T) in `gram_top`; it is
+          moved away from the floor by `_GRAM_SLACK` * lambda_1, more than
+          the round-off of its eigh.
         """
         d, n = self.x.shape
-        if k > d - n + 1:
-            return -np.inf
-        return -self.beta * float(self.d_diag.max())
+        shift = -self.beta * float(self.d_diag.max())
+        floor = shift if k <= d - n + 1 else -np.inf
+        top = self.gram_top
+        if top is not None and k <= len(top):
+            if self.alpha <= 1.0 or 2 * k - 1 <= d:
+                weight = 1.0 - self.alpha
+                weyl = weight * top[k - 1] - abs(weight) * _GRAM_SLACK * top[0]
+                floor = max(floor, weyl + shift)
+        return floor
 
 
 def _matrix_free(d: int, n: int) -> bool:
-    """The W-step switch rule: matrix-free when d > n."""
+    """Whether a (d, n) solve goes without X X^T: when d > n, where the
+    d x d product is larger than the data."""
     return d > n
 
 
@@ -275,52 +335,58 @@ def build_m(
     u: IndicatorMatrix,
     d_diag: np.ndarray,
     cfg: SolverConfig,
-    gram: np.ndarray | None = None,
-) -> np.ndarray | MOperator:
-    """Assemble the symmetric matrix whose top eigenvectors give W.
+    start: SolverStart | None = None,
+) -> MOperator:
+    """The symmetric matrix whose top eigenvectors give W, as an operator.
 
     M = S_t + alpha X U (U^T U)^{-1} U^T X^T - alpha X X^T - beta D, with
     S_t = X X^T: X must be a centered (d, n) float64 array, which `solve`
     checks once. The projector term is S S^T with S the (d, c) cluster
-    sums scaled by 1 / sqrt(n_k).
-
-    Returns the dense d x d array, exactly symmetric, when `gram` = X X^T
-    is given, else the `MOperator`: only S is built, no d x d array.
+    sums scaled by 1 / sqrt(n_k); only S is built here, no d x d array.
+    With `start`, the solve's `SolverStart`, M holds its X X^T (if any)
+    and the PCA eigenvalues, which bound M's top eigenvalues from below.
     """
     counts = u.counts()
     if np.any(counts == 0):
         raise ValueError("empty cluster")
     sums = centroid_sums(x, u.assignments, u.n_clusters)
     scaled = sums.T / np.sqrt(counts)          # (d, c)
-    op = MOperator(x, scaled, d_diag, cfg.alpha, cfg.beta)
-    return op if gram is None else op.dense(gram)
+    if start is None:
+        return MOperator(x, scaled, d_diag, cfg.alpha, cfg.beta)
+    return MOperator(
+        x, scaled, d_diag, cfg.alpha, cfg.beta, start.gram, start.eig.values
+    )
 
 
 def update_w(
-    m: np.ndarray | MOperator, d_prime: int, start: np.ndarray | None = None
+    m: MOperator, d_prime: int, start: np.ndarray | None = None
 ) -> EigenPairs:
     """Top-d' eigenpairs of M; the vectors are the trace-optimal W.
 
-    A dense M must be exactly symmetric, as `build_m` returns it; only its
-    lower triangle is read. An `MOperator` needs `start`, the previous W:
-    the block Krylov loop is warm-started there, so its Ritz W never has a
-    smaller Tr(W^T M W) than `start`. If the loop stops short of its
-    tolerance, or its d'-th Ritz value lies below `MOperator.top_floor` by
-    more than its residual (converged, but not to the top d'), M is formed
-    and decomposed in full ("krylov-fallback").
+    Without `start`, M is formed and decomposed in full ("dense"). With
+    `start`, the previous W, the block Krylov loop is warm-started there,
+    so its Ritz W never has a smaller Tr(W^T M W) than `start`. If the loop
+    stops short of its tolerance, or its d'-th Ritz value lies below
+    `MOperator.top_floor` by more than its residual (converged, but not to
+    the top d'), M is formed and decomposed in full ("krylov-fallback",
+    with the loop's reason in `stop`). When M holds X X^T, its dense form
+    needs no product with X, so the loop also gives up as soon as its
+    residual stops falling between two checks ("stall").
     """
-    if isinstance(m, MOperator):
-        if start is None or start.shape[1] != d_prime:
-            raise ValueError("the matrix-free W step needs a (d, d') start")
-        ritz = block_krylov_top(m.__matmul__, start)
-        slack = ritz.residual * float(np.abs(ritz.values).max())
-        if ritz.converged and ritz.values[-1] + slack >= m.top_floor(d_prime):
+    if start is None:
+        return sym_eig_top(m.dense(), d_prime)
+    if start.shape[1] != d_prime:
+        raise ValueError("the Krylov W step needs a (d, d') start")
+    ritz = block_krylov_top(m.__matmul__, start, stall=m.gram is not None)
+    slack = ritz.residual * float(np.abs(ritz.values).max())
+    if ritz.converged:
+        if ritz.values[-1] + slack >= m.top_floor(d_prime):
             return ritz
-        pairs = sym_eig_top(m.dense(), d_prime)
-        pairs.path = "krylov-fallback"
-        pairs.steps, pairs.checks = ritz.steps, ritz.checks
-        return pairs
-    return sym_eig_top(m, d_prime)
+        ritz.stop = "floor"
+    pairs = sym_eig_top(m.dense(), d_prime)
+    pairs.path = "krylov-fallback"
+    pairs.steps, pairs.checks, pairs.stop = ritz.steps, ritz.checks, ritz.stop
+    return pairs
 
 
 def update_g(y: np.ndarray, u: IndicatorMatrix) -> np.ndarray:
@@ -365,17 +431,20 @@ def solve(
     Initialization: W from PCA on X, U from one K-means run on W^T X, G from
     the centroid closed form; `start`, from `build_start` on the same X,
     gives that state precomputed, with the same bits (ValueError if it was
-    built for another shape, d', c or seed). Each subsequent iteration recomputes the
-    reweighting diagonal, refreshes U against r restarted candidates, takes W
-    from the top eigenvectors of M (dense or matrix-free by the shape; see
-    the module docstring), and updates G. Stops when the relative
-    objective change |J_i - J_{i-1}| / (1 + |J_{i-1}|) drops below cfg.tol,
-    or after cfg.max_iter iterations (converged=False, trace still full).
+    built for another shape, d', c or seed). Each subsequent iteration
+    recomputes the reweighting diagonal, refreshes U against r restarted
+    candidates, takes W from the top eigenvectors of M (dense eigh or warm
+    Krylov loop; see the module docstring), and updates G. Stops when the
+    relative objective change |J_i - J_{i-1}| / (1 + |J_{i-1}|) drops below
+    cfg.tol, or after cfg.max_iter iterations (converged=False, trace still
+    full).
 
     Deterministic: per-iteration seeds derive from cfg.seed. Each traced
     state is also logged at DEBUG level to the "ufcm.solver" logger: its
     objective, how W was computed (eig_path, eig_steps) and how U was
-    chosen (lloyd_steps, u_winner).
+    chosen (lloyd_steps, u_winner). A W step that falls back from the
+    Krylov loop logs one more line: why the loop stopped, and whether the
+    next W step tries it again.
     """
     x, d_prime = _checked(x, cfg)
     d, n = x.shape
@@ -385,12 +454,14 @@ def solve(
     have = (start.shape, start.d_prime, start.c, start.seed)
     if have != want:
         raise ValueError(
-            "start built for (shape, d', c, seed) = "
-            f"{have}, not {want}"
+            f"start built for (shape, d', c, seed) = {have}, not {want}"
         )
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.max_iter + 1)
 
-    gram, eig, km = start.gram, start.eig, start.km
+    # The basis of a Krylov loop on a d <= n shape stays below d columns.
+    matrix_free = _matrix_free(d, n)
+    krylov = matrix_free or d > (KRYLOV_MAX_STEPS + 1) * d_prime
+    eig, km = start.eig, start.km
     w = eig.vectors
     y = w.T @ x  # shared by the terms, the G update and the next U update
     u, g = km.indicator, km.centers
@@ -440,7 +511,18 @@ def solve(
             overlap = accuracy(km.indicator.assignments, u.assignments) * n
             changes = n - round(overlap)
         u, steps, winner = km.indicator, km.lloyd_steps, km.winner
-        eig = update_w(build_m(x, u, d_diag, cfg, gram=gram), d_prime, w)
+        m = build_m(x, u, d_diag, cfg, start)
+        eig = update_w(m, d_prime, w if krylov else None)
+        if eig.path == "krylov-fallback":
+            # A dense shape's fallback is likely to recur; from d > n the
+            # dense path costs a d x d Gram, so each W step tries again.
+            krylov = matrix_free
+            _log.debug(
+                "w step %d: dense eigh after the krylov loop stopped (%s); "
+                "%s", i, eig.stop,
+                "the next w step tries krylov again" if krylov
+                else "the rest of the solve is dense",
+            )
         w = eig.vectors
         y = w.T @ x
         g = update_g(y, u)

@@ -536,6 +536,33 @@ def test_malformed_csv_is_usage_error_and_makes_no_out_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        pytest.param("a,b\n", [], "no data rows", id="header-only"),
+        pytest.param(
+            "a,b\n1.0,2.0\n", [], "one data row", id="one-row"
+        ),
+        pytest.param(
+            "label\n0\n1\n2\n",
+            ["--label-column", "label"],
+            "no feature column besides the label",
+            id="label-only",
+        ),
+    ],
+)
+def test_csv_with_too_little_data_is_usage_error_naming_the_path(
+    tmp_path, capsys, text, flags, message
+):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["--input", str(csv_path), *flags, "--clusters", "1"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"{csv_path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_utf8_csv_is_usage_error_naming_the_path(tmp_path, capsys):
     csv_path = tmp_path / "data.csv"
     csv_path.write_bytes(b"a,b\n1.0,2.0\n3.0,\xff4.0\n")

@@ -166,6 +166,42 @@ def test_load_csv_header_only_is_no_data_and_warns_nothing(tmp_path):
             load_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text, label_column, message",
+    [
+        pytest.param(
+            "a,b\n1.0,2.0\n",
+            None,
+            "one data row; need at least two samples",
+            id="one-row",
+        ),
+        pytest.param(
+            "a,label\n1.0,x\n\n", "label", "one data row", id="one-row-label"
+        ),
+        pytest.param(
+            "label\nx\ny\n",
+            "label",
+            "no feature column besides the label",
+            id="label-only-by-name",
+        ),
+        pytest.param(
+            "x\ny\nz\n",
+            0,
+            "no feature column besides the label",
+            id="label-only-by-index",
+        ),
+    ],
+)
+def test_load_csv_too_little_data_names_the_file(
+    tmp_path, text, label_column, message
+):
+    path = tmp_path / "small.csv"
+    path.write_text(text)
+    with pytest.raises(CsvFormatError) as info:
+        load_csv(path, label_column=label_column)
+    assert str(info.value).startswith(f"{path}: {message}")
+
+
 def test_load_csv_quoted_cells_crlf_and_blank_lines(tmp_path):
     path = tmp_path / "dialect.csv"
     path.write_bytes(

@@ -1,13 +1,15 @@
-"""The matrix-free W step (d > n): block Krylov Ritz pairs against the dense
-eigensolve, ascent by construction, the dense fallback, rank-deficient and
-zero-row inputs, and the memory it saves."""
+"""The Krylov W step: block Krylov Ritz pairs against the dense eigensolve,
+ascent by construction, the dense fallback, rank-deficient and zero-row
+inputs, and the memory it saves. It runs matrix-free when d > n, and on M
+through the held X X^T when n >= d > 65 d'."""
 
+import logging
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ufcm import linalg
+from ufcm import linalg, solver
 from ufcm.dataset import center, make_blobs
 from ufcm.kmeans import run_kmeans
 from ufcm.linalg import block_krylov_top, gram_eig_top, sym_eig_top
@@ -15,6 +17,7 @@ from ufcm.solver import (
     MOperator,
     SolverConfig,
     build_m,
+    build_start,
     compute_d,
     solve,
     update_w,
@@ -55,6 +58,91 @@ def test_krylov_agrees_with_dense_eigh_on_the_shape_ladder(shape, k):
     v, u = ritz.vectors, dense.vectors
     assert np.linalg.norm(v - u @ (u.T @ v), 2) <= 1e-8
     assert np.linalg.norm(v.T @ v - np.eye(k)) <= 1e-12
+
+
+def dense_shape_w_step(x, alpha, beta, k, c=4):
+    """M of a solve's first W step on a d <= n input, holding the start's
+    X X^T, and the PCA W that step starts from."""
+    cfg = SolverConfig(alpha=alpha, beta=beta, p=1.0, c=c, d_prime=k)
+    start = build_start(x, cfg)
+    w = start.eig.vectors
+    op = build_m(x, start.km.indicator, compute_d(w, cfg), cfg, start)
+    assert op.gram is not None
+    return op, w
+
+
+@pytest.mark.parametrize("alpha", [0.1, 1.0])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("shape", [(300, 400), (200, 900)])
+def test_krylov_agrees_with_dense_eigh_on_the_dense_shape_ladder(
+    shape, k, alpha
+):
+    op, start = dense_shape_w_step(blobs(*shape, seed=k), alpha, 1.0, k)
+    ritz = update_w(op, k, start)
+    dense = sym_eig_top(op.dense(), k)
+    assert ritz.path == "krylov"
+    assert np.all(
+        np.abs(ritz.values - dense.values) <= 1e-9 * np.abs(dense.values)
+    )
+    v, u = ritz.vectors, dense.vectors
+    assert np.linalg.norm(v - u @ (u.T @ v), 2) <= 1e-8
+
+
+def test_a_stalled_dense_shape_w_step_falls_back_once(caplog):
+    # At alpha = 10 the residual rises over the first block steps: the loop
+    # gives up at its second check, and the rest of the solve is dense.
+    caplog.set_level(logging.DEBUG, logger="ufcm.solver")
+    x = blobs(300, 400)
+    cfg = SolverConfig(alpha=10.0, beta=1.0, p=1.0, c=4, max_iter=4)
+    tr = check_solve(x, cfg).trace
+    assert tr.eig_path == ["dense", "krylov-fallback"] + ["dense"] * 3
+    assert 1 <= tr.eig_steps[1] <= 8
+    lines = [
+        r.getMessage() for r in caplog.records if r.name == "ufcm.solver"
+    ]
+    fallbacks = [m for m in lines if m.startswith("w step")]
+    # check_solve solves twice.
+    assert fallbacks == [
+        "w step 1: dense eigh after the krylov loop stopped (stall); "
+        "the rest of the solve is dense"
+    ] * 2
+    assert len(lines) == 2 * (len(tr) + 1)
+
+
+def test_a_d_greater_than_n_fallback_is_retried_each_w_step(caplog):
+    # d' = 60 of d = 300 features: each W step's basis nears R^d. The next
+    # step tries the Krylov loop again, which never stalls on this shape.
+    caplog.set_level(logging.DEBUG, logger="ufcm.solver")
+    x = centered_normal(2, 300, 20)
+    cfg = SolverConfig(alpha=1.0, beta=1.0, p=1.0, c=3, d_prime=60, max_iter=2)
+    solve(x, cfg)
+    lines = [
+        r.getMessage() for r in caplog.records if r.name == "ufcm.solver"
+    ]
+    assert [m for m in lines if m.startswith("w step")] == [
+        f"w step {i}: dense eigh after the krylov loop stopped (full "
+        "basis); the next w step tries krylov again"
+        for i in (1, 2)
+    ]
+
+
+@pytest.mark.parametrize("d, path", [(130, "dense"), (131, "krylov")])
+def test_dense_shapes_take_the_krylov_loop_only_above_65_d_prime(
+    d, path, monkeypatch
+):
+    # At d <= 65 d' the basis could fill R^d before the step cap.
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return block_krylov_top(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "block_krylov_top", spy)
+    x = blobs(d, 300, seed=1)
+    cfg = SolverConfig(alpha=0.1, beta=1.0, p=1.0, c=4, d_prime=2, max_iter=3)
+    tr = solve(x, cfg).trace
+    assert set(tr.eig_path[1:]) == {path}
+    assert len(calls) == (0 if path == "dense" else len(tr) - 1)
 
 
 def test_pairs_converged_as_the_basis_nears_r_d_are_not_a_fallback():
@@ -174,6 +262,35 @@ def test_rank_deficient_w_step_matches_dense_eigh(alpha, d_prime):
     check_solve(x, cfg)
 
 
+@pytest.mark.parametrize("d_prime", [2, 8])
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_rank_deficient_dense_shape_w_step_matches_dense_eigh(alpha, d_prime):
+    # The same trap at d <= n: rank(X) = 4 < d = 600, so M vanishes off
+    # X's range and maps that range into itself. At d' = 8 the start's
+    # Ritz pairs converge at once to the wrong eigenvalues; the start's
+    # X X^T eigenvalues end in zeros there, and the floor from them
+    # rejects those pairs.
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(600, 4)) @ rng.normal(size=(4, 700))
+    x -= x.mean(axis=1, keepdims=True)
+    op, start = dense_shape_w_step(x, alpha, 0.0, d_prime, c=2)
+    m = op.dense()
+    got = update_w(op, d_prime, start)
+    want = sym_eig_top(m, d_prime)
+    scale = float(np.abs(np.linalg.eigvalsh(m)).max())
+    assert np.abs(got.values - want.values).max() <= 1e-9 * scale
+    w = got.vectors
+    assert float(np.trace(w.T @ m @ w)) >= want.values.sum() - 1e-9 * scale
+    if alpha > 1 and d_prime == 8:
+        assert (got.path, got.stop) == ("krylov-fallback", "floor")
+    check_solve(
+        x,
+        SolverConfig(
+            alpha=alpha, beta=0.0, p=1.0, c=2, d_prime=d_prime, max_iter=6
+        ),
+    )
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_top_floor_bounds_the_dense_eigenvalues(seed):
     rng = np.random.default_rng(seed)
@@ -194,6 +311,29 @@ def test_top_floor_bounds_the_dense_eigenvalues(seed):
     for k in range(1, d - n + 2):
         assert op.top_floor(k) <= values[k - 1] + slack
     assert op.top_floor(d - n + 2) == -np.inf
+
+
+@pytest.mark.parametrize("rank", [None, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_top_floor_from_the_start_bounds_the_dense_eigenvalues(seed, rank):
+    # Weyl's bound from the start's X X^T eigenvalues, on d <= n inputs of
+    # full rank and of rank 3 < d'.
+    rng = np.random.default_rng(seed)
+    d, n, k = int(rng.integers(20, 60)), 80, 5
+    if rank is None:
+        x = rng.normal(size=(d, n))
+    else:
+        x = rng.normal(size=(d, rank)) @ rng.normal(size=(rank, n))
+    x -= x.mean(axis=1, keepdims=True)
+    for alpha in (0.1, 1.0, 2.0, 10.0):
+        for beta in (0.0, 1.0):
+            op, _ = dense_shape_w_step(x, alpha, beta, k, c=2)
+            values = np.linalg.eigvalsh(op.dense())[::-1]
+            floor = op.top_floor(k)
+            assert floor <= values[k - 1] + 1e-12 * np.abs(values).max()
+            if alpha <= 1 or rank is not None:
+                shift = -beta * op.d_diag.max()
+                assert floor >= shift - 1e-9 * np.abs(values).max()
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])

@@ -123,7 +123,7 @@ def test_build_m_alpha_terms_cancel_when_projector_is_identity(rng):
     u = IndicatorMatrix(np.array([3, 1, 0, 2, 5, 4]), 6)
     d_diag = rng.uniform(0.5, 2.0, size=4)
     cfg = cfg_for(alpha=1.7, beta=0.3, c=6)
-    m = build_m(x, u, d_diag, cfg, gram=x @ x.T)
+    m = build_m(x, u, d_diag, cfg).dense()
     expected = x @ x.T - 0.3 * np.diag(d_diag)
     assert np.abs(m - expected).max() < 1e-10
 
@@ -132,7 +132,7 @@ def test_build_m_vanishing_terms_leave_total_scatter(rng):
     x, u, _, _ = small_instance(2)
     d_diag = np.ones(x.shape[0])
     cfg = cfg_for(alpha=1e-15, beta=0.0)
-    m = build_m(x, u, d_diag, cfg, gram=x @ x.T)
+    m = build_m(x, u, d_diag, cfg).dense()
     assert np.abs(m - x @ x.T).max() < 1e-10
 
 
@@ -141,7 +141,7 @@ def test_build_m_matches_naive_assembly(rng):
         x, u, _, inner = small_instance(seed, d=5, n=12, c=3)
         d_diag = inner.uniform(0.1, 3.0, size=5)
         cfg = cfg_for(alpha=inner.uniform(0.1, 5.0), beta=inner.uniform(0.0, 2.0))
-        m = build_m(x, u, d_diag, cfg, gram=x @ x.T)
+        m = build_m(x, u, d_diag, cfg).dense()
 
         dense = np.eye(u.n_clusters)[u.assignments]
         proj = x @ dense @ np.linalg.inv(dense.T @ dense) @ dense.T @ x.T
@@ -212,7 +212,7 @@ def test_substitution_identity_50_instances():
             - cfg.alpha * fit
             - cfg.beta * float(np.trace(w.T @ np.diag(d_diag) @ w))
         )
-        m = build_m(x, u, d_diag, cfg, gram=x @ x.T)
+        m = build_m(x, u, d_diag, cfg).dense()
         trace_form = float(np.trace(w.T @ m @ w))
         assert abs(surrogate - trace_form) <= 1e-8 * (1.0 + abs(trace_form))
 
@@ -222,9 +222,13 @@ def test_update_w_beats_random_orthonormal(rng):
         inner = np.random.default_rng(seed)
         d = int(inner.integers(3, 13))
         k = int(inner.integers(1, d + 1))
-        m = inner.normal(size=(d, d))
-        m = (m + m.T) / 2
-        w = update_w(m, k).vectors
+        x, u, _, _ = small_instance(seed, d=d, n=20, c=3)
+        cfg = cfg_for(
+            alpha=inner.uniform(0.1, 5.0), beta=inner.uniform(0.0, 2.0)
+        )
+        op = build_m(x, u, inner.uniform(0.1, 3.0, size=d), cfg)
+        m = op.dense()
+        w = update_w(op, k).vectors
         best = float(np.trace(w.T @ m @ w))
         for _ in range(100):
             q = random_orthonormal(inner, d, k)
