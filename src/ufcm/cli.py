@@ -185,20 +185,21 @@ def _load_data(spec: ExperimentSpec) -> tuple[DataMatrix, dict]:
 
 
 def _prepare(data: DataMatrix, scale: bool) -> DataMatrix:
-    prepared = center(data)
-    if scale:
-        std = prepared.values.std(axis=1)
-        std[std == 0.0] = 1.0
-        # Centered again: dividing by a tiny std scales the centering
-        # residue up past `solve`'s centering check.
-        prepared = center(
-            DataMatrix(
-                prepared.values / std[:, None],
-                feature_names=prepared.feature_names,
-                labels=prepared.labels,
-            )
-        )
-    return prepared
+    """The data centered and, with `scale`, divided by each feature's std
+    (1 for a constant feature) and centered again, in one new array: the
+    bits of `center`, then `/ std`, then `center`."""
+    if not scale:
+        return center(data)
+    values = data.values - data.values.mean(axis=1)[:, None]
+    std = values.std(axis=1)
+    std[std == 0.0] = 1.0
+    values /= std[:, None]
+    # Centered again: dividing by a tiny std scales the centering residue
+    # up past `solve`'s centering check.
+    values -= values.mean(axis=1)[:, None]
+    return DataMatrix(
+        values, feature_names=data.feature_names, labels=data.labels
+    )
 
 
 def emit_trace(result: SolverResult, path) -> None:

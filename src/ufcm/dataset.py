@@ -17,6 +17,8 @@ from typing import NoReturn
 
 import numpy as np
 
+from .linalg import require_real
+
 
 class CsvFormatError(ValueError):
     """A CSV file could not be parsed into a numeric data matrix."""
@@ -25,6 +27,13 @@ class CsvFormatError(ValueError):
 @dataclass
 class DataMatrix:
     """d features x n samples with optional feature names and labels.
+
+    `values` is a read-only view of the input when that is a C-ordered
+    float64 array: it shares the input's memory, so a later write through
+    the caller's own reference shows through `values`, and the caller's
+    array stays writable. Input of any other dtype or layout is copied
+    once. Bool, integer and float input is accepted; complex, string and
+    other dtypes raise ValueError.
 
     Labels must be contiguous class indices 0..c-1; `load_csv` and
     `make_blobs` produce them in that form, direct construction validates it.
@@ -35,10 +44,10 @@ class DataMatrix:
     labels: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        # Copy so freezing never touches a caller-owned array.
-        values = np.array(self.values, dtype=np.float64, order="C")
+        values = require_real(self.values, "values")
         if values.ndim != 2:
             raise ValueError(f"expected a 2-d matrix, got ndim={values.ndim}")
+        values = np.ascontiguousarray(values, dtype=np.float64)
         d, n = values.shape
         if d < 1:
             raise ValueError("need at least one feature")
@@ -46,8 +55,9 @@ class DataMatrix:
             raise ValueError(f"need at least two samples, got n={n}")
         if not np.all(np.isfinite(values)):
             raise ValueError("data matrix contains non-finite entries")
-        values.flags.writeable = False
-        self.values = values
+        # Freeze a view, so a caller-owned array stays writable.
+        self.values = values.view()
+        self.values.flags.writeable = False
 
         if self.feature_names is not None:
             if len(self.feature_names) != d:
@@ -80,7 +90,8 @@ class DataMatrix:
 def center(data: DataMatrix) -> DataMatrix:
     """Subtract the per-feature sample mean.
 
-    Returns the centered matrix with names and labels carried over.
+    Returns the centered matrix with names and labels carried over; its
+    values are the one d x n array the subtraction makes, not a copy.
     Idempotent up to floating-point residue.
     """
     mean = data.values.mean(axis=1)

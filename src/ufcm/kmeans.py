@@ -24,10 +24,12 @@ as `np.argmin` does. A near-tie, one whose distance gap is within the
 rounding of that expansion (about 1e-16 of ||y||^2 + ||c||^2), follows the
 expanded value, which may differ from the directly computed distance.
 
-Input must be finite. `run_kmeans` and `update_u_with_candidates` reject
-data whose sum of squares is not finite, which is data with a NaN or an
-infinite entry (the error names them) or data too large to square; a NaN
-score would match no center.
+Input must be real and finite. `run_kmeans` and
+`update_u_with_candidates` reject data of a dtype other than bool,
+integer or float (`linalg.require_real`), and data whose sum of squares
+is not finite, which is data with a NaN or an infinite entry (the error
+names them) or data too large to square; a NaN score would match no
+center.
 
 A Lloyd step scores itself from the cluster sums it already holds, by the
 decomposition within-cluster SS = total SS - between-cluster SS:
@@ -49,6 +51,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .linalg import require_real
 
 _log = logging.getLogger(__name__)
 
@@ -216,10 +220,11 @@ def run_kmeans(y: np.ndarray, c: int, seed: int) -> KMeansResult:
     to rounding; `fit`, its last entry, is computed directly at the
     returned labels and centers. Deterministic given the seed.
 
-    Raises ValueError, naming the entries, if y has a NaN or an infinite
-    entry (see `_finite_total`).
+    Raises ValueError, naming the dtype, if y is not bool, integer or
+    float, and, naming the entries, if y has a NaN or an infinite entry
+    (see `_finite_total`).
     """
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    y = np.ascontiguousarray(require_real(y, "y"), dtype=np.float64)
     n = y.shape[1]
     if not 1 <= c <= n:
         raise ValueError(f"cluster count {c} out of range [1, {n}]")
@@ -268,14 +273,14 @@ def update_u_with_candidates(
     c taken from `u_prev`, scored by ||Y - G U^T||_F^2 under its own
     induced centroids; the incumbent is scored the same way and wins ties,
     so the returned fit never exceeds the incumbent's. When the incumbent
-    wins, its own `u_prev` object is returned. Non-finite y raises
-    ValueError, as in `run_kmeans`, also when r = 0.
+    wins, its own `u_prev` object is returned. Non-real or non-finite y
+    raises ValueError, as in `run_kmeans`, also when r = 0.
 
     Each call logs one DEBUG line to the "ufcm.kmeans" logger: the winner,
     the restarts run, their Lloyd steps, the incumbent's fit and the
     chosen fit.
     """
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    y = np.ascontiguousarray(require_real(y, "y"), dtype=np.float64)
     if u_prev.n != y.shape[1]:
         raise ValueError("u_prev does not match the sample count")
     if r < 0:

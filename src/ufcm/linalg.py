@@ -65,17 +65,32 @@ class EigenPairs:
     stop: str = ""
 
 
+def require_real(x, name: str) -> np.ndarray:
+    """`x` as an ndarray, unconverted; ValueError naming its dtype unless
+    it holds bool, integer or float numbers.
+
+    Complex input would lose its imaginary part to a float64 cast, and
+    strings would be parsed as numerals; object, void and datetime input
+    is no number at all.
+    """
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {x.dtype}")
+    return x
+
+
 def require_centered(x: np.ndarray) -> None:
     """Raise unless every entry is finite and every feature mean is
     numerically zero.
 
     The tolerance, CENTER_TOL (1e-6) times max(1, max |x|), scales with the
     data magnitude so that centered large-scale data does not trip the
-    check on floating-point residue.
+    check on floating-point residue. max |x| comes from x's max and min,
+    so the check allocates nothing of x's size.
     """
     x = np.asarray(x)
-    scale = float(np.abs(x).max()) if x.size else 0.0
-    if not np.isfinite(scale):  # the max of |x| is NaN or inf if any entry is
+    scale = max(float(x.max()), -float(x.min())) if x.size else 0.0
+    if not np.isfinite(scale):  # max and min are NaN or inf if an entry is
         raise ValueError("matrix has non-finite (NaN or inf) entries")
     worst = float(np.abs(x.mean(axis=1)).max())
     if worst > CENTER_TOL * max(1.0, scale):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .dataset import DataMatrix
 from .kmeans import run_kmeans
+from .linalg import require_real
 
 
 @dataclass
@@ -27,8 +28,11 @@ class FeatureRanking:
 
 
 def rank_features(w: np.ndarray) -> FeatureRanking:
-    """Score each feature by the l2 norm of its coefficient row."""
-    w = np.asarray(w, dtype=np.float64)
+    """Score each feature by the l2 norm of its coefficient row.
+
+    ValueError, naming the dtype, unless W holds bool, integer or float
+    numbers."""
+    w = np.asarray(require_real(w, "w"), dtype=np.float64)
     scores = np.linalg.norm(w, axis=1)
     order = np.argsort(-scores, kind="stable")
     return FeatureRanking(scores=scores, order=order)

@@ -112,6 +112,7 @@ from .linalg import (
     block_krylov_top,
     gram_eig_top,
     require_centered,
+    require_real,
     sym_eig_top,
 )
 from .metrics import accuracy
@@ -397,8 +398,8 @@ def update_g(y: np.ndarray, u: IndicatorMatrix) -> np.ndarray:
 
 def _checked(x, cfg: SolverConfig) -> tuple[np.ndarray, int]:
     """X as a C-order float64 array, and d'; raises ValueError unless X is
-    a finite, centered (d, n) matrix that fits cfg."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    a real, finite, centered (d, n) matrix that fits cfg."""
+    x = np.ascontiguousarray(require_real(x, "x"), dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("x must be a (d, n) matrix")
     require_centered(x)

@@ -1,7 +1,24 @@
 import csv
+import re
 
 import numpy as np
 import pytest
+
+
+# Arrays that hold no real numbers, each made from a float array. Every
+# public entry point rejects them with a ValueError naming the dtype.
+NON_REAL = {
+    "complex": lambda x: x + 0j,
+    "object": lambda x: x.astype(object),
+    "string": lambda x: x.astype(str),
+    "void": lambda x: x.view("V8"),
+    "datetime": lambda x: x.astype(np.int64).astype("datetime64[s]"),
+}
+
+
+def names_dtype(bad) -> str:
+    """A `pytest.raises` match for the error on the non-real array `bad`."""
+    return f"must be real numbers, got dtype {re.escape(str(bad.dtype))}"
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from ufcm.cli import (
     ExperimentSpec,
     UsageError,
+    _prepare,
     build_parser,
     emit_trace,
     load_record,
@@ -20,7 +22,7 @@ from ufcm.cli import (
 )
 from conftest import write_csv
 from ufcm import solver
-from ufcm.dataset import DataMatrix, load_csv, make_blobs
+from ufcm.dataset import DataMatrix, center, load_csv, make_blobs
 from ufcm.solver import SolverConfig, SolverTrace, solve
 
 BLOBS = (
@@ -359,6 +361,27 @@ def test_scale_gives_centered_unit_variance_features(tmp_path, monkeypatch):
     assert np.array_equal(x[-1], np.zeros(blobs.n))
     record, _ = load_record(out / "record_gp000.json")
     assert record["preprocessing"] == {"centered": True, "unit_variance": True}
+
+
+def test_scale_makes_one_array_with_the_bits_of_center_scale_center():
+    rng = np.random.default_rng(4)
+    values = rng.normal(loc=3.0, size=(200, 500))
+    values[7] = 2.5  # constant: its std of 0 divides as 1
+    values[9] = 1e6 + 1e-6 * rng.normal(size=500)
+    data = DataMatrix(values)
+    centered = center(data)
+    std = centered.values.std(axis=1)
+    std[std == 0.0] = 1.0
+    want = center(DataMatrix(centered.values / std[:, None])).values
+    tracemalloc.start()
+    try:
+        got = _prepare(data, scale=True).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    # The result, and the d x n temporary inside `np.std`.
+    assert peak < 2.5 * got.nbytes
 
 
 def test_unlabeled_csv_skips_evaluation(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import write_csv
+from conftest import NON_REAL, names_dtype, write_csv
 from ufcm.dataset import (
     CsvFormatError,
     DataMatrix,
@@ -38,9 +39,41 @@ def test_datamatrix_rejects_gappy_labels():
 
 
 def test_datamatrix_does_not_freeze_caller_array():
+    # A C-ordered float64 input is shared, not copied: `values` is a
+    # read-only view of it.
     x = np.zeros((2, 2))
-    DataMatrix(x)
-    x[0, 0] = 1.0  # caller array stays writable
+    values = DataMatrix(x).values
+    assert np.shares_memory(values, x)
+    assert not values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        values[0, 0] = 1.0
+    x[0, 0] = 1.0  # caller array stays writable, and the write shows through
+    assert values[0, 0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+        np.arange(6).reshape(2, 3),
+        np.arange(6.0, dtype=np.float32).reshape(2, 3),
+        np.arange(6).reshape(2, 3) % 2 == 0,
+    ],
+    ids=["f-order", "int", "float32", "bool"],
+)
+def test_datamatrix_copies_other_layouts_and_real_dtypes_once(x):
+    values = DataMatrix(x).values
+    assert not np.shares_memory(values, x)
+    assert values.dtype == np.float64 and values.flags.c_contiguous
+    assert np.array_equal(values, x)
+    assert not values.flags.writeable
+
+
+@pytest.mark.parametrize("kind", sorted(NON_REAL))
+def test_datamatrix_rejects_non_real_input_naming_the_dtype(kind):
+    bad = NON_REAL[kind](np.arange(6.0).reshape(2, 3))
+    with pytest.raises(ValueError, match=names_dtype(bad)):
+        DataMatrix(bad)
 
 
 def test_load_csv_with_label_column(tmp_path):
@@ -282,6 +315,17 @@ def test_center_zero_means_by_direct_summation():
         total = sum(float(v) for v in centered.values[i])
         orig_mean = abs(float(dm.values[i].mean()))
         assert abs(total / 20.0) < 1e-10 * (1.0 + orig_mean)
+
+
+def test_center_allocates_one_d_by_n_array():
+    data = DataMatrix(np.random.default_rng(3).normal(size=(200, 500)))
+    tracemalloc.start()
+    try:
+        centered = center(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * centered.values.nbytes
 
 
 def test_center_keeps_labels():

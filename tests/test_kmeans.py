@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import NON_REAL, names_dtype
 from ufcm import kmeans
 from ufcm.kmeans import (
     IndicatorMatrix,
@@ -357,3 +358,13 @@ def test_run_kmeans_rejects_data_too_large_to_square():
     y = 1e200 * np.random.default_rng(2).normal(size=(2, 10))
     with pytest.raises(ValueError, match="sum of squares overflows"):
         run_kmeans(y, 2, seed=0)
+
+
+@pytest.mark.parametrize("kind", sorted(NON_REAL))
+def test_kmeans_entry_points_reject_non_real_input(kind):
+    bad = NON_REAL[kind](np.arange(12.0).reshape(2, 6))
+    u = IndicatorMatrix(np.arange(6) % 2, 2)
+    with pytest.raises(ValueError, match=names_dtype(bad)):
+        run_kmeans(bad, 2, 0)
+    with pytest.raises(ValueError, match=names_dtype(bad)):
+        update_u_with_candidates(bad, u, 1, 0)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import random_orthonormal
-from ufcm.linalg import gram_eig_top, sym_eig_top
+from ufcm.linalg import gram_eig_top, require_centered, sym_eig_top
 
 
 def centered(rng, d, n):
@@ -92,3 +94,14 @@ def test_gram_eig_top_matches_eigh_of_the_product(rng):
     assert np.allclose(svd.values, dense.values, rtol=1e-12, atol=0)
     assert np.abs(svd.vectors - dense.vectors).max() <= 1e-10
     assert svd.residual <= 1e-12
+
+
+def test_require_centered_allocates_nothing_of_the_data_size(rng):
+    x = centered(rng, 200, 500)
+    tracemalloc.start()
+    try:
+        require_centered(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 2

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import ufcm
 from baselines import max_variance_ranking
+from conftest import NON_REAL, names_dtype
 from ufcm.dataset import DataMatrix, center, make_blobs
 from ufcm.metrics import (
     accuracy,
@@ -362,3 +363,10 @@ def test_evaluate_clustering_requires_labels(rng):
     data = DataMatrix(rng.normal(size=(3, 10)))
     with pytest.raises(ValueError, match="labels"):
         evaluate_clustering(data, 2, 3, 0)
+
+
+@pytest.mark.parametrize("kind", sorted(NON_REAL))
+def test_rank_features_rejects_non_real_input(kind):
+    bad = NON_REAL[kind](np.eye(4, 2))
+    with pytest.raises(ValueError, match=names_dtype(bad)):
+        rank_features(bad)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_orthonormal
+from conftest import NON_REAL, names_dtype, random_orthonormal
 from ufcm.dataset import center, make_blobs
 from ufcm.kmeans import IndicatorMatrix
 from ufcm.metrics import accuracy
@@ -436,6 +436,14 @@ def test_solve_and_objective_reject_non_finite(bad):
     x[2, 7] = bad
     with pytest.raises(ValueError, match="non-finite"):
         solve(x, cfg_for())
+
+
+@pytest.mark.parametrize("entry", [solve, build_start])
+@pytest.mark.parametrize("kind", sorted(NON_REAL))
+def test_solve_and_build_start_reject_non_real_input(entry, kind):
+    bad = NON_REAL[kind](small_instance(5)[0])
+    with pytest.raises(ValueError, match=names_dtype(bad)):
+        entry(bad, cfg_for())
 
 
 def test_solve_validates_dimensions():
