@@ -37,7 +37,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -372,9 +372,35 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
 
 
 def load_record(path) -> tuple[dict, SolverConfig]:
-    """Read a result record back, re-validating its embedded config."""
-    record = json.loads(Path(path).read_text(encoding="utf-8"))
-    return record, SolverConfig(**record["config"])
+    """Read a result record back, re-validating its embedded config.
+
+    Raises ValueError naming `path` unless the file holds a JSON object
+    whose "config" object has every required `SolverConfig` field, no
+    other key, and values that pass its checks.
+    """
+    try:
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        msg = f"{path}: {exc.msg}"
+        raise json.JSONDecodeError(msg, exc.doc, exc.pos) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    config = record.get("config") if isinstance(record, dict) else None
+    if not isinstance(config, dict):
+        raise ValueError(f'{path}: not a record with a "config" object')
+    names = {f.name for f in fields(SolverConfig)}
+    required = {f.name for f in fields(SolverConfig) if f.default is MISSING}
+    problems = []
+    if unknown := sorted(config.keys() - names):
+        problems.append(f"unknown keys {unknown}")
+    if missing := sorted(required - config.keys()):
+        problems.append(f"missing keys {missing}")
+    if problems:
+        raise ValueError(f"{path}: config has {' and '.join(problems)}")
+    try:
+        return record, SolverConfig(**config)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _comma_floats(text: str) -> list[float]:

@@ -251,16 +251,19 @@ def _parse_csv(path, label_column) -> DataMatrix:
         raise CsvFormatError(f"{path}: no feature column besides the label")
 
     labels = None
+    keep = np.ones(n_cols, dtype=bool)
     if label_idx is not None:
         _, labels = np.unique(raw_labels, return_inverse=True)
         labels = labels.astype(np.int64)
-        rows = np.delete(rows, label_idx, axis=1)
+        keep[label_idx] = False
 
     feature_names = None
     if header is not None:
         feature_names = [h for j, h in enumerate(header) if j != label_idx]
 
-    return DataMatrix(rows.T, feature_names=feature_names, labels=labels)
+    # One gather drops the label column and transposes: its result is
+    # C-ordered, so DataMatrix keeps it without a copy.
+    return DataMatrix(rows.T[keep], feature_names=feature_names, labels=labels)
 
 
 def make_blobs(

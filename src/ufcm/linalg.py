@@ -52,7 +52,8 @@ class EigenPairs:
     was abandoned, whose steps and checks are then counted. `stop` names
     why a Krylov loop stopped short: "step cap", "stall", "invariant
     basis", "full basis", or "floor" (set by `solver.update_w`); it is
-    empty otherwise.
+    empty otherwise. `spectrum` holds every eigenvalue the direct
+    decomposition computed, descending; None for Ritz pairs.
     """
 
     values: np.ndarray   # (k,)
@@ -63,6 +64,7 @@ class EigenPairs:
     converged: bool = True
     path: str = "dense"
     stop: str = ""
+    spectrum: np.ndarray | None = None
 
 
 def require_real(x, name: str) -> np.ndarray:
@@ -133,11 +135,12 @@ def sym_eig_top(a: np.ndarray, k: int) -> EigenPairs:
     if not 1 <= k <= a.shape[0]:
         raise ValueError(f"k={k} out of range [1, {a.shape[0]}]")
 
-    values, vectors = np.linalg.eigh(a)
-    values = values[::-1][:k].copy()
+    spectrum, vectors = np.linalg.eigh(a)
+    spectrum = spectrum[::-1]
+    values = spectrum[:k].copy()
     vectors = fix_signs(vectors[:, ::-1][:, :k].copy())
     _, residual = _residual(a @ vectors, vectors, values)
-    return EigenPairs(values, vectors, residual)
+    return EigenPairs(values, vectors, residual, spectrum=spectrum)
 
 
 def gram_eig_top(x: np.ndarray, k: int) -> EigenPairs:
@@ -152,20 +155,23 @@ def gram_eig_top(x: np.ndarray, k: int) -> EigenPairs:
     eigenvector for 0). For k > n, X V and the values are padded with
     zeros to k: QR's first n columns span range(X), so its last k - n are
     unit vectors orthogonal to range(X), eigenvectors for 0. Cheaper than
-    forming X X^T when the (d, n) X has d > n. Needs k <= d.
+    forming X X^T when the (d, n) X has d > n. Needs k <= d. `spectrum`
+    holds the n eigenvalues of X^T X, which are those of X X^T but for
+    d - n zeros.
     """
     x = np.asarray(x, dtype=np.float64)
     if not 1 <= k <= x.shape[0]:
         raise ValueError(f"k={k} out of range [1, {x.shape[0]}]")
-    values, v = np.linalg.eigh(x.T @ x)
+    spectrum, v = np.linalg.eigh(x.T @ x)
+    spectrum = spectrum[::-1]
     top = min(k, x.shape[1])
-    values = np.pad(values[::-1][:top], (0, k - top))
+    values = np.pad(spectrum[:top], (0, k - top))
     vectors, _ = np.linalg.qr(
         np.pad(x @ v[:, ::-1][:, :top], ((0, 0), (0, k - top)))
     )
     vectors = fix_signs(vectors)
     _, residual = _residual(x @ (x.T @ vectors), vectors, values)
-    return EigenPairs(values, vectors, residual)
+    return EigenPairs(values, vectors, residual, spectrum=spectrum)
 
 
 def block_krylov_top(

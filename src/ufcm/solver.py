@@ -39,8 +39,8 @@ alpha, beta and p builds it once (`build_start`).
 A Krylov W step falls back to the dense eigh of M ("krylov-fallback") when
 the loop stops short of its tolerance (step cap, an invariant basis, or a
 basis that would fill R^d), or when its Ritz values fall below a lower
-bound on M's top d' eigenvalues (`MOperator.top_floor`, from the start's
-X X^T eigenvalues and, for d > n, from the null space of X^T). On the
+bound on M's top d' eigenvalues (`MOperator.top_floor`, Weyl's inequality
+on the X X^T eigenvalues that the start's eigh returned). On the
 d <= n shape, forming M needs no product with X, so the loop also stops
 as soon as its residual fails to fall between two checks ("stall"), and
 after one fallback the rest of the solve is dense. The d > n shape keeps
@@ -63,6 +63,12 @@ blob generator (c = 5, beta = p = 1, seeds 101-106, shapes 800 x 1500,
   only; the dense eigh it falls back to is exact.
 - 200 x 5000 at d' = 10 (d = 20 d'), forced onto the Krylov loop: its W
   steps took 44 ms per solve against 20 ms dense (medians of 9 solves).
+- after a fallback on d <= n, the rest of the solve is dense. Without
+  that rule, every later alpha = 10 W step on 800 x 1500 (seeds 1-6, one
+  shared start, 3 iterations, 1 BLAS thread, min of 3 solves) ran all 64
+  block steps, its residual falling too slowly to stall, before falling
+  back: 614-762 ms per solve against 374-463 ms with the rule. At alpha
+  = 0.1 and 1 no W step fell back; paths and step counts were unchanged.
 
 Either form of M leaves out a term whose weight is exactly 0, the X X^T
 term at alpha = 1 and the D term at beta = 0, and never forms it. The
@@ -93,6 +99,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,8 +126,8 @@ from .metrics import accuracy
 
 _log = logging.getLogger(__name__)
 
-# Share of lambda_1(X X^T) by which `MOperator.top_floor` lowers
-# lambda_k(X X^T), to stay below it through the round-off of its eigh.
+# Share of |1 - alpha| lambda_1(X X^T) by which `MOperator.top_floor`
+# lowers its bound, to stay below M's through the round-off of the eigh.
 _GRAM_SLACK = 1e-12
 
 
@@ -141,6 +148,14 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("c", "d_prime", "r", "max_iter", "seed"):
+            value = getattr(self, name)
+            if value is None and name == "d_prime":
+                continue
+            if not isinstance(value, numbers.Integral) or isinstance(
+                value, bool
+            ):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("alpha", "beta", "tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(
@@ -219,7 +234,8 @@ class SolverStart:
     """A solve's initial state, which depends only on X, c, d' and the seed.
 
     `gram` is X X^T, held only on the dense path (d <= n); `eig` is the PCA
-    init, the top d' eigenpairs of X X^T; `km` is the init K-means run on
+    init, the top d' eigenpairs of X X^T, with every eigenvalue its eigh
+    computed in `eig.spectrum`; `km` is the init K-means run on
     W^T X. A grid over alpha, beta, p or max_iter shares one start:
     `SeedSequence.generate_state` is prefix-stable, so the init run's seed
     does not depend on max_iter. `solve` refuses a start whose shape, d',
@@ -245,8 +261,8 @@ class MOperator:
     and without it O(d (n + c) b), through X; O(d c b) at alpha = 1.
     `dense` forms the d x d matrix for a dense eigh, from `gram` when held.
     A term with weight 0 (alpha = 1 for X X^T, beta = 0 for D) is never
-    formed, in either form. `gram_top` holds the top eigenvalues of X X^T,
-    descending, when known; `top_floor` reads them.
+    formed, in either form. `spectrum` holds the eigenvalues of X X^T,
+    descending, that the solve's start computed, for `top_floor`.
     """
 
     x: np.ndarray       # (d, n), centered
@@ -254,8 +270,8 @@ class MOperator:
     d_diag: np.ndarray  # (d,)
     alpha: float
     beta: float
-    gram: np.ndarray | None = None      # (d, d)
-    gram_top: np.ndarray | None = None  # (k,)
+    spectrum: np.ndarray            # (min(d, n),)
+    gram: np.ndarray | None = None  # (d, d)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         out = self.alpha * (self.scaled @ (self.scaled.T @ v))
@@ -283,37 +299,23 @@ class MOperator:
         return m
 
     def top_floor(self, k: int) -> float:
-        """A lower bound on M's k-th largest eigenvalue, -inf if none.
+        """A lower bound on M's k-th largest eigenvalue, 1 <= k <= d.
 
-        Two bounds, of which the higher is returned:
-
-        - X has centered rows, so rank(X) <= n - 1 and R^d has a subspace
-          of dimension d - n + 1 orthogonal to X's columns. There z^T M z =
-          -beta z^T D z >= -beta max(D), so by Courant-Fischer the k-th
-          eigenvalue is at least -beta max(D) when k <= d - n + 1. With
-          beta = 0 that bound is 0, which a start inside range(X) misses:
-          M maps range(X) into itself, and for alpha > 1 M has negative
-          eigenvalues there.
-        - Weyl's inequality with alpha S S^T positive semidefinite gives
-          lambda_k(M) >= lambda_k((1 - alpha) X X^T) - beta max(D). For
-          alpha <= 1 that is (1 - alpha) lambda_k(X X^T). For alpha > 1 it
-          is (1 - alpha) lambda_{d-k+1}(X X^T), which is at least
-          (1 - alpha) lambda_k(X X^T) when d - k + 1 >= k: low, unless X
-          has rank below k, where it gives the first bound's -beta max(D)
-          for any d and n. Needs lambda_k(X X^T) in `gram_top`; it is
-          moved away from the floor by `_GRAM_SLACK` * lambda_1, more than
-          the round-off of its eigh.
+        Weyl's inequality with alpha S S^T - beta D >= -beta max(D) gives
+        lambda_k(M) >= lambda_k((1 - alpha) X X^T) - beta max(D), which is
+        (1 - alpha) lambda_j(X X^T) with j = k for alpha <= 1 and
+        j = d - k + 1 for alpha > 1. A centered X has rank <= n - 1, so
+        lambda_j(X X^T) = 0 past the held `spectrum`. The bound is lowered
+        by |1 - alpha| `_GRAM_SLACK` lambda_1(X X^T), more than the
+        round-off of the eigh that gave `spectrum`.
         """
-        d, n = self.x.shape
+        top = self.spectrum
+        j = k if self.alpha <= 1.0 else self.x.shape[0] - k + 1
+        lam = top[j - 1] if j <= len(top) else 0.0
+        weight = 1.0 - self.alpha
+        weyl = weight * lam - abs(weight) * _GRAM_SLACK * top[0]
         shift = -self.beta * float(self.d_diag.max())
-        floor = shift if k <= d - n + 1 else -np.inf
-        top = self.gram_top
-        if top is not None and k <= len(top):
-            if self.alpha <= 1.0 or 2 * k - 1 <= d:
-                weight = 1.0 - self.alpha
-                weyl = weight * top[k - 1] - abs(weight) * _GRAM_SLACK * top[0]
-                floor = max(floor, weyl + shift)
-        return floor
+        return weyl + shift
 
 
 def _matrix_free(d: int, n: int) -> bool:
@@ -336,7 +338,7 @@ def build_m(
     u: IndicatorMatrix,
     d_diag: np.ndarray,
     cfg: SolverConfig,
-    start: SolverStart | None = None,
+    start: SolverStart,
 ) -> MOperator:
     """The symmetric matrix whose top eigenvectors give W, as an operator.
 
@@ -344,18 +346,16 @@ def build_m(
     S_t = X X^T: X must be a centered (d, n) float64 array, which `solve`
     checks once. The projector term is S S^T with S the (d, c) cluster
     sums scaled by 1 / sqrt(n_k); only S is built here, no d x d array.
-    With `start`, the solve's `SolverStart`, M holds its X X^T (if any)
-    and the PCA eigenvalues, which bound M's top eigenvalues from below.
+    M holds the X X^T (if any) and the X X^T eigenvalues of `start`, the
+    solve's `SolverStart`; the eigenvalues bound M's from below.
     """
     counts = u.counts()
     if np.any(counts == 0):
         raise ValueError("empty cluster")
     sums = centroid_sums(x, u.assignments, u.n_clusters)
     scaled = sums.T / np.sqrt(counts)          # (d, c)
-    if start is None:
-        return MOperator(x, scaled, d_diag, cfg.alpha, cfg.beta)
     return MOperator(
-        x, scaled, d_diag, cfg.alpha, cfg.beta, start.gram, start.eig.values
+        x, scaled, d_diag, cfg.alpha, cfg.beta, start.eig.spectrum, start.gram
     )
 
 

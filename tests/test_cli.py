@@ -682,6 +682,58 @@ def test_load_record_revalidates_config(tmp_path):
         load_record(path)
 
 
+@pytest.fixture
+def record_path(tmp_path):
+    run_experiment(spec_for(tmp_path / "out", max_iter=3, select_counts=[3]))
+    return tmp_path / "out" / "record_gp000.json"
+
+
+def _rewrite(path, edit):
+    record = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(record)))
+
+
+def test_load_record_names_the_path_on_bad_json_or_bad_utf8(record_path):
+    record_path.write_text("{not json")
+    with pytest.raises(json.JSONDecodeError) as info:
+        load_record(record_path)
+    assert str(info.value).startswith(f"{record_path}: ")
+    record_path.write_bytes(b'{"config": "\xff"}')
+    with pytest.raises(ValueError, match="can't decode") as info:
+        load_record(record_path)
+    assert str(info.value).startswith(f"{record_path}: ")
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda r: [r], 'not a record with a "config" object'),
+        (lambda r: {k: v for k, v in r.items() if k != "config"},
+         'not a record with a "config" object'),
+        (lambda r: {**r, "config": [1, 2]},
+         'not a record with a "config" object'),
+        (lambda r: {**r, "config": {
+            k: v for k, v in r["config"].items() if k != "alpha"}},
+         "missing keys ['alpha']"),
+        (lambda r: {**r, "config": {**r["config"], "gamma": 1.0}},
+         "unknown keys ['gamma']"),
+        (lambda r: {**r, "config": {**r["config"], "alpha": "big"}},
+         "must be real number"),
+        (lambda r: {**r, "config": {**r["config"], "c": 2.5}},
+         "c must be an integer"),
+    ],
+)
+def test_load_record_names_the_path_and_the_problem(
+    record_path, edit, problem
+):
+    _rewrite(record_path, edit)
+    with pytest.raises(ValueError) as info:
+        load_record(record_path)
+    message = str(info.value)
+    assert message.startswith(f"{record_path}: ")
+    assert problem in message
+
+
 def test_spec_validation():
     with pytest.raises(UsageError):
         ExperimentSpec(out="o", clusters=3)  # no source

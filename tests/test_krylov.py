@@ -39,7 +39,7 @@ def first_w_step(d, n, k, c=4):
     w = gram_eig_top(x, k).vectors
     u = run_kmeans(w.T @ x, c, 0).indicator
     cfg = SolverConfig(alpha=1.0, beta=1.0, p=1.0, c=c, d_prime=k)
-    return build_m(x, u, compute_d(w, cfg), cfg), w
+    return build_m(x, u, compute_d(w, cfg), cfg, build_start(x, cfg)), w
 
 
 @pytest.mark.parametrize("k", [1, 4, 10])
@@ -249,7 +249,7 @@ def test_rank_deficient_w_step_matches_dense_eigh(alpha, d_prime):
     )
     start = sym_eig_top(x @ x.T, d_prime).vectors
     u = run_kmeans(start.T @ x, 2, 0).indicator
-    op = build_m(x, u, compute_d(start, cfg), cfg)
+    op = build_m(x, u, compute_d(start, cfg), cfg, build_start(x, cfg))
     m = op.dense()
     got = update_w(op, d_prime, start)
     want = sym_eig_top(m, d_prime)
@@ -305,12 +305,11 @@ def test_top_floor_bounds_the_dense_eigenvalues(seed):
     w = sym_eig_top(x @ x.T, 2).vectors
     w[0] = 0.0  # a zero row: D there is floored to 5e7
     u = run_kmeans(w.T @ x, 2, 0).indicator
-    op = build_m(x, u, compute_d(w, cfg), cfg)
+    op = build_m(x, u, compute_d(w, cfg), cfg, build_start(x, cfg))
     values = np.linalg.eigvalsh(op.dense())[::-1]
     slack = 1e-12 * np.abs(values).max()
-    for k in range(1, d - n + 2):
+    for k in range(1, d + 1):
         assert op.top_floor(k) <= values[k - 1] + slack
-    assert op.top_floor(d - n + 2) == -np.inf
 
 
 @pytest.mark.parametrize("rank", [None, 3])
@@ -336,6 +335,40 @@ def test_top_floor_from_the_start_bounds_the_dense_eigenvalues(seed, rank):
                 assert floor >= shift - 1e-9 * np.abs(values).max()
 
 
+@pytest.mark.parametrize("rank", [None, 3])
+@pytest.mark.parametrize("shape", [(40, 80), (90, 20)])
+def test_top_floor_bounds_every_eigenvalue(shape, rank):
+    # Weyl's bound from the start's spectrum, for every k <= d, on d <= n
+    # and d > n inputs of full rank and of rank 3 < d'.
+    rng = np.random.default_rng(shape[0] + (rank or 0))
+    d, n = shape
+    if rank is None:
+        x = rng.normal(size=(d, n))
+    else:
+        x = rng.normal(size=(d, rank)) @ rng.normal(size=(rank, n))
+    x -= x.mean(axis=1, keepdims=True)
+    gram = np.linalg.eigvalsh(x @ x.T)[::-1]
+    for alpha in (0.3, 1.0, 2.0, 10.0):
+        for beta in (0.0, 1.0):
+            cfg = SolverConfig(alpha=alpha, beta=beta, p=1.0, c=2, d_prime=5)
+            start = build_start(x, cfg)
+            w = start.eig.vectors
+            op = build_m(x, start.km.indicator, compute_d(w, cfg), cfg, start)
+            values = np.linalg.eigvalsh(op.dense())[::-1]
+            slack = 1e-12 * np.abs(values).max()
+            shift = -beta * op.d_diag.max()
+            for k in range(1, d + 1):
+                floor = op.top_floor(k)
+                assert np.isfinite(floor)
+                assert floor <= values[k - 1] + slack
+                # For alpha > 1, (1 - alpha) lambda_k(X X^T) bounds
+                # lambda_k(M) only where 2k - 1 <= d; the floor, from
+                # lambda_{d-k+1}(X X^T), is at least as high there.
+                if alpha > 1 and rank is None and d <= n and 2 * k - 1 <= d:
+                    crude = (1 - alpha) * gram[k - 1] + shift
+                    assert floor >= crude - slack
+
+
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 @pytest.mark.parametrize("alpha", [0.1, 1.0, 10.0])
 def test_m_keeps_the_bits_of_the_full_sum(alpha, beta):
@@ -346,7 +379,7 @@ def test_m_keeps_the_bits_of_the_full_sum(alpha, beta):
     cfg = SolverConfig(alpha=alpha, beta=beta, p=1.0, c=3)
     w = gram_eig_top(x, 3).vectors
     u = run_kmeans(w.T @ x, 3, 0).indicator
-    op = build_m(x, u, compute_d(w, cfg), cfg)
+    op = build_m(x, u, compute_d(w, cfg), cfg, build_start(x, cfg))
     s, d = op.scaled, op.d_diag
     v = np.random.default_rng(4).normal(size=(120, 3))
     p = x @ (x.T @ v)
@@ -368,7 +401,14 @@ def test_alpha_one_never_reads_the_data_term():
     rng = np.random.default_rng(5)
     x = np.full((50, 8), np.nan)
     scaled = rng.normal(size=(50, 3))
-    op = MOperator(x, scaled, rng.uniform(0.1, 1.0, 50), alpha=1.0, beta=1.0)
+    op = MOperator(
+        x,
+        scaled,
+        rng.uniform(0.1, 1.0, 50),
+        alpha=1.0,
+        beta=1.0,
+        spectrum=np.ones(8),
+    )
     assert np.isfinite(op @ rng.normal(size=(50, 2))).all()
     assert np.isfinite(op.dense()).all()
 

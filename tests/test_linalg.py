@@ -96,6 +96,30 @@ def test_gram_eig_top_matches_eigh_of_the_product(rng):
     assert svd.residual <= 1e-12
 
 
+def test_sym_eig_top_keeps_the_full_spectrum(rng):
+    a = rng.normal(size=(9, 9))
+    a = (a + a.T) / 2
+    pairs = sym_eig_top(a, 2)
+    assert np.array_equal(pairs.spectrum, np.linalg.eigh(a)[0][::-1])
+    assert np.allclose(
+        pairs.spectrum, np.linalg.eigvalsh(a)[::-1], rtol=0, atol=1e-12
+    )
+    assert np.array_equal(pairs.spectrum[:2], pairs.values)
+
+
+@pytest.mark.parametrize("k", [3, 8, 12])
+def test_gram_eig_top_keeps_the_nonzero_spectrum(rng, k):
+    # X X^T has the n eigenvalues of X^T X and d - n zeros; a centered X
+    # has rank n - 1, so the n-th is zero too, up to round-off.
+    x = centered(rng, 30, 8)
+    pairs = gram_eig_top(x, k)
+    want = np.linalg.eigvalsh(x @ x.T)[::-1][:8]
+    assert pairs.spectrum.shape == (8,)
+    assert np.abs(pairs.spectrum - want).max() <= 1e-12 * want[0]
+    top = min(k, 8)
+    assert np.array_equal(pairs.spectrum[:top], pairs.values[:top])
+
+
 def test_require_centered_allocates_nothing_of_the_data_size(rng):
     x = centered(rng, 200, 500)
     tracemalloc.start()

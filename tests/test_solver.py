@@ -68,6 +68,39 @@ def test_config_validation():
             cfg_for(**bad)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("c", 2.5),
+        ("c", 3.0),
+        ("c", True),
+        ("d_prime", 1.5),
+        ("d_prime", False),
+        ("r", 2.5),
+        ("max_iter", 2.5),
+        ("max_iter", True),
+        ("seed", 1.5),
+        ("seed", "1"),
+    ],
+)
+def test_config_rejects_non_integer_counts_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        cfg_for(**{field: value})
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = cfg_for(
+        c=np.int64(3),
+        d_prime=np.int32(2),
+        r=np.uint8(4),
+        max_iter=np.int16(5),
+        seed=np.uint32(7),
+    )
+    assert (cfg.c, cfg.d_prime, cfg.r, cfg.max_iter, cfg.seed) == (
+        3, 2, 4, 5, 7
+    )
+
+
 def test_config_rejects_a_negative_seed_by_name():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         cfg_for(seed=-1)
@@ -123,7 +156,8 @@ def test_build_m_alpha_terms_cancel_when_projector_is_identity(rng):
     u = IndicatorMatrix(np.array([3, 1, 0, 2, 5, 4]), 6)
     d_diag = rng.uniform(0.5, 2.0, size=4)
     cfg = cfg_for(alpha=1.7, beta=0.3, c=6)
-    m = build_m(x, u, d_diag, cfg).dense()
+    start = build_start(x, cfg_for(c=6, d_prime=1))  # d' = c > d fails
+    m = build_m(x, u, d_diag, cfg, start).dense()
     expected = x @ x.T - 0.3 * np.diag(d_diag)
     assert np.abs(m - expected).max() < 1e-10
 
@@ -132,7 +166,7 @@ def test_build_m_vanishing_terms_leave_total_scatter(rng):
     x, u, _, _ = small_instance(2)
     d_diag = np.ones(x.shape[0])
     cfg = cfg_for(alpha=1e-15, beta=0.0)
-    m = build_m(x, u, d_diag, cfg).dense()
+    m = build_m(x, u, d_diag, cfg, build_start(x, cfg)).dense()
     assert np.abs(m - x @ x.T).max() < 1e-10
 
 
@@ -141,7 +175,7 @@ def test_build_m_matches_naive_assembly(rng):
         x, u, _, inner = small_instance(seed, d=5, n=12, c=3)
         d_diag = inner.uniform(0.1, 3.0, size=5)
         cfg = cfg_for(alpha=inner.uniform(0.1, 5.0), beta=inner.uniform(0.0, 2.0))
-        m = build_m(x, u, d_diag, cfg).dense()
+        m = build_m(x, u, d_diag, cfg, build_start(x, cfg)).dense()
 
         dense = np.eye(u.n_clusters)[u.assignments]
         proj = x @ dense @ np.linalg.inv(dense.T @ dense) @ dense.T @ x.T
@@ -212,7 +246,7 @@ def test_substitution_identity_50_instances():
             - cfg.alpha * fit
             - cfg.beta * float(np.trace(w.T @ np.diag(d_diag) @ w))
         )
-        m = build_m(x, u, d_diag, cfg).dense()
+        m = build_m(x, u, d_diag, cfg, build_start(x, cfg)).dense()
         trace_form = float(np.trace(w.T @ m @ w))
         assert abs(surrogate - trace_form) <= 1e-8 * (1.0 + abs(trace_form))
 
@@ -226,7 +260,9 @@ def test_update_w_beats_random_orthonormal(rng):
         cfg = cfg_for(
             alpha=inner.uniform(0.1, 5.0), beta=inner.uniform(0.0, 2.0)
         )
-        op = build_m(x, u, inner.uniform(0.1, 3.0, size=d), cfg)
+        op = build_m(
+            x, u, inner.uniform(0.1, 3.0, size=d), cfg, build_start(x, cfg)
+        )
         m = op.dense()
         w = update_w(op, k).vectors
         best = float(np.trace(w.T @ m @ w))
