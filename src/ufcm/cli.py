@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import CsvFormatError, DataMatrix, center, load_csv, make_blobs
-from .metrics import evaluate_clustering, rank_features, select
+from .metrics import EvalStats, evaluate_clustering, rank_features, select
 from .solver import SolverConfig, SolverResult, build_start, solve
 
 # The grid a bare flag sweeps; p's lies inside its range (0, 2).
@@ -226,21 +226,21 @@ def _run_grid_point(
     data, spec, source, gi, cfg, start, start_s
 ) -> list[dict]:
     """Solve one (alpha, beta, p) point from the grid's shared start, built
-    in `start_s` seconds, and write its record and trace."""
+    in `start_s` seconds, write its record and trace, and return its summary
+    rows, one per selection count."""
     out = Path(spec.out)
     t0 = time.perf_counter()
     result = solve(data.values, cfg, start)
     solve_s = time.perf_counter() - t0
 
     ranking = rank_features(result.w)
-    counts = spec.select_counts or [data.d]
-
     selected: dict[str, list[int]] = {}
     evaluation: dict[str, dict] = {}
+    rows = []
     t0 = time.perf_counter()
-    for mi, m in enumerate(counts):
-        subset = select(data, ranking, m)
+    for mi, m in enumerate(spec.select_counts or [data.d]):
         selected[str(m)] = [int(i) for i in ranking.order[:m]]
+        stats = dict.fromkeys(EvalStats._fields, "")
         if data.labels is not None:
             eval_seed = int(
                 np.random.SeedSequence(
@@ -248,9 +248,25 @@ def _run_grid_point(
                 ).generate_state(1)[0]
             )
             stats = evaluate_clustering(
-                subset, spec.clusters, spec.eval_runs, eval_seed
-            )
-            evaluation[str(m)] = dict(stats._asdict())
+                select(data, ranking, m),
+                spec.clusters,
+                spec.eval_runs,
+                eval_seed,
+            )._asdict()
+            evaluation[str(m)] = stats
+        rows.append(
+            {
+                "grid_index": gi,
+                "alpha": cfg.alpha,
+                "beta": cfg.beta,
+                "p": cfg.p,
+                "m": m,
+                **stats,
+                "converged": result.converged,
+                "iterations": result.iterations,
+                "objective": result.trace.objective[-1],
+            }
+        )
     eval_s = time.perf_counter() - t0
     _log.debug(
         "grid point %d: alpha=%r beta=%r p=%r solve_s=%.3f evaluate_s=%.3f",
@@ -294,26 +310,6 @@ def _run_grid_point(
         encoding="utf-8",
     )
     emit_trace(result, out / f"trace_gp{gi:03d}.csv")
-
-    rows = []
-    for m in counts:
-        stats = evaluation.get(str(m), {})
-        rows.append(
-            {
-                "grid_index": gi,
-                "alpha": cfg.alpha,
-                "beta": cfg.beta,
-                "p": cfg.p,
-                "m": m,
-                "acc_mean": stats.get("acc_mean", ""),
-                "acc_std": stats.get("acc_std", ""),
-                "nmi_mean": stats.get("nmi_mean", ""),
-                "nmi_std": stats.get("nmi_std", ""),
-                "converged": result.converged,
-                "iterations": result.iterations,
-                "objective": result.trace.objective[-1],
-            }
-        )
     return rows
 
 
@@ -481,12 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec = ExperimentSpec(**vars(args))
-    except UsageError as exc:
-        print(f"ufcm: {exc}", file=sys.stderr)
-        return 2
-    try:
-        run_experiment(spec)
+        run_experiment(ExperimentSpec(**vars(args)))
     except (UsageError, CsvFormatError) as exc:
         print(f"ufcm: {exc}", file=sys.stderr)
         return 2
