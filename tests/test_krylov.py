@@ -96,6 +96,7 @@ def test_a_stalled_dense_shape_w_step_falls_back_once(caplog):
     cfg = SolverConfig(alpha=10.0, beta=1.0, p=1.0, c=4, max_iter=4)
     tr = check_solve(x, cfg).trace
     assert tr.eig_path == ["dense", "krylov-fallback"] + ["dense"] * 3
+    assert tr.eig_stop == ["", "stall"] + [""] * 3
     assert 1 <= tr.eig_steps[1] <= 8
     lines = [
         r.getMessage() for r in caplog.records if r.name == "ufcm.solver"
@@ -124,6 +125,18 @@ def test_a_d_greater_than_n_fallback_is_retried_each_w_step(caplog):
         "basis); the next w step tries krylov again"
         for i in (1, 2)
     ]
+
+
+def test_a_d_greater_than_n_w_step_converges_after_a_fallback():
+    # At alpha = 10 the first W step reaches the step cap and falls back;
+    # the next two, warm-started at the dense W, converge on the loop.
+    x = centered_normal(0, 400, 60)
+    cfg = SolverConfig(alpha=10.0, beta=1.0, p=1.0, c=3, max_iter=3)
+    tr = check_solve(x, cfg).trace
+    assert tr.eig_path == ["dense", "krylov-fallback", "krylov", "krylov"]
+    assert tr.eig_stop == ["", "step cap", "", ""]
+    assert tr.eig_steps[1] == linalg.KRYLOV_MAX_STEPS
+    assert max(tr.eig_steps[2:]) < linalg.KRYLOV_MAX_STEPS
 
 
 @pytest.mark.parametrize("d, path", [(130, "dense"), (131, "krylov")])

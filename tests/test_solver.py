@@ -1,5 +1,10 @@
+import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from conftest import NON_REAL, names_dtype, random_orthonormal
 from ufcm.dataset import center, make_blobs
 from ufcm.kmeans import IndicatorMatrix
 from ufcm.metrics import accuracy
+import ufcm
 from ufcm import kmeans, solver
 from ufcm.solver import (
     SolverConfig,
@@ -86,6 +92,34 @@ def test_config_validation():
 def test_config_rejects_non_integer_counts_by_name(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         cfg_for(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("alpha", "1"),
+        ("alpha", True),
+        ("beta", None),
+        ("beta", False),
+        ("p", "1"),
+        ("tol", "1e-6"),
+        ("eps_row", True),
+    ],
+)
+def test_config_rejects_non_real_weights_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be real number"):
+        cfg_for(**{field: value})
+
+
+def test_config_accepts_numpy_float_weights():
+    cfg = cfg_for(
+        alpha=np.float32(0.5),
+        beta=np.float64(2.0),
+        p=np.float16(1.5),
+        tol=np.float64(1e-5),
+        eps_row=np.float32(1e-6),
+    )
+    assert (cfg.alpha, cfg.beta, cfg.p) == (0.5, 2.0, 1.5)
 
 
 def test_config_accepts_numpy_integer_counts():
@@ -406,6 +440,51 @@ def test_solve_deterministic_bit_identical():
     assert np.array_equal(a.u.assignments, b.u.assignments)
     assert a.trace.objective == b.trace.objective
     assert a.iterations == b.iterations
+
+
+# Solves an 800 x 1500 input and prints what must not depend on the BLAS
+# thread count; W's bits may, since BLAS sums in another order.
+_THREADS_PROBE = """
+import json
+import numpy as np
+from ufcm.dataset import center, make_blobs
+from ufcm.metrics import rank_features
+from ufcm.solver import SolverConfig, solve
+x = center(make_blobs(300, 5, 40, 760, 4.0, 1.0, seed=7)).values
+cfg = SolverConfig(alpha=0.1, beta=1.0, p=1.0, c=5, max_iter=4)
+res = solve(x, cfg)
+print(json.dumps({
+    "labels": res.u.assignments.tolist(),
+    "top": sorted(rank_features(res.w).order[:40].tolist()),
+    "eig_path": res.trace.eig_path,
+    "objective": res.trace.objective,
+}))
+"""
+
+
+def solve_with_threads(threads: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(Path(ufcm.__file__).parents[1]))
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = str(threads)
+    out = subprocess.run(
+        [sys.executable, "-c", _THREADS_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_solve_agrees_across_blas_thread_counts():
+    # Bits are reproducible at one thread count; across thread counts the
+    # labels, the selected set and the eigensolver's path still agree.
+    one, two = solve_with_threads(1), solve_with_threads(2)
+    assert one["labels"] == two["labels"]
+    assert one["top"] == two["top"]
+    assert one["eig_path"] == two["eig_path"]
+    assert one["objective"] == pytest.approx(two["objective"], rel=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(20, 60), (80, 12)])
