@@ -12,7 +12,12 @@ Two ways to the top-k eigenpairs of a symmetric matrix:
   Underwood 1977, Saad 2011 ch. 6). It only applies the matrix to thin
   blocks, so the matrix never has to exist. It checks its Ritz pairs at
   steps extrapolated from the residual's rate of fall, not at a fixed
-  interval.
+  interval. Thick restarts keep the basis at 20 k columns: past that, the
+  top quarter of its Ritz vectors replace it, and the loop goes on from
+  the newest block. The kept vectors hold the best k found so far, so no
+  restart lowers the trace. Where the residual falls too slowly for the
+  restarted loop to converge by its step cap, the basis stops restarting
+  and grows to at most 65 k columns instead.
 
 `gram_eig_top` gives the top k <= d eigenpairs of X X^T for a (d, n) X
 with d > n from the n x n product X^T X, without forming the d x d one.
@@ -29,12 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 KRYLOV_TOL = 1e-11     # relative Ritz residual at which the loop stops
-KRYLOV_MAX_STEPS = 64  # hard cap on block steps
+KRYLOV_MAX_STEPS = 128  # hard cap on block steps, restarts included
 CENTER_TOL = 1e-6      # feature-mean bound, relative to max(1, max |x|)
 _ROUNDOFF = 1e-14      # residual floor, as a share of ||T|| (see below)
 _FIRST_GAP = 4         # block steps to the next check, no rate known
 _MAX_GAP = 16          # most block steps between two later checks
 _DEFLATE = 1e-12       # new directions below this share of the block drop
+_RESTART_WIDTH = 20    # basis columns, in multiples of k, to restart past
+_MAX_WIDTH = 65        # most basis columns, in multiples of k
 
 
 @dataclass
@@ -43,13 +50,14 @@ class EigenPairs:
 
     `residual` is max_j ||A v_j - lambda_j v_j|| / max_j |lambda_j| over
     the k returned pairs (inf if every lambda_j is 0 and A V is not).
-    `steps` counts block Krylov steps and `checks` their Rayleigh-Ritz
-    projections, both 0 for a direct decomposition; `converged` is False
-    when Ritz pairs missed their tolerance. `path` names the solver:
-    "dense" for a direct LAPACK decomposition, "krylov" for Ritz pairs of
-    `block_krylov_top`, and "krylov-fallback" (set by
-    `solver.update_w`) for a dense decomposition taken after a Krylov loop
-    was abandoned, whose steps and checks are then counted. `stop` names
+    `steps` counts block Krylov steps, `checks` their Rayleigh-Ritz
+    projections and `restarts` the thick restarts among those, all 0 for
+    a direct decomposition; `converged` is False when Ritz pairs missed
+    their tolerance. `path` names the solver: "dense" for a direct LAPACK
+    decomposition, "krylov" for Ritz pairs of `block_krylov_top`, and
+    "krylov-fallback" (set by `solver.update_w`) for a dense decomposition
+    taken after a Krylov loop was abandoned, whose steps, checks and
+    restarts are then counted. `stop` names
     why a Krylov loop stopped short: "step cap", "stall", "invariant
     basis", "full basis", or "floor" (set by `solver.update_w`); it is
     empty otherwise. `spectrum` holds every eigenvalue the direct
@@ -65,6 +73,7 @@ class EigenPairs:
     path: str = "dense"
     stop: str = ""
     spectrum: np.ndarray | None = None
+    restarts: int = 0
 
 
 def require_real(x, name: str) -> np.ndarray:
@@ -182,30 +191,50 @@ def block_krylov_top(
     """Top-k Ritz pairs of a symmetric operator, warm-started at `start`.
 
     `apply(V)` returns A V for a (d, b) block V; `start` is (d, k) with
-    orthonormal columns, and k pairs come back. The basis is the block
-    Krylov space [S, A S, A^2 S, ...] of S = `start`. Each step applies A
-    to the newest block, projects the result off the basis twice (the first
-    projection's coefficients are also the new column of the projected
-    matrix T = Q^T A Q), drops directions below `_DEFLATE` of the block's
-    norm and appends the rest. At checkpoints a small `eigh` of T gives the
-    top-k Ritz pairs; the loop stops once their residual
+    orthonormal columns, and k pairs come back. The basis grows as the
+    block Krylov space [S, A S, A^2 S, ...] of S = `start`. Each step
+    applies A to the newest block, projects the result off the basis twice
+    (the first projection's coefficients are also the new column of the
+    projected matrix T = Q^T A Q), drops directions below `_DEFLATE` of the
+    block's norm and appends the rest. At checks a small `eigh` of T gives
+    the top-k Ritz pairs; the loop stops once their residual
     max_j ||A w_j - theta_j w_j|| is at most KRYLOV_TOL * max_j |theta_j|,
-    or after KRYLOV_MAX_STEPS (64) steps. The basis and A times it are
-    column-major, so each step's slices are contiguous and capacity the
-    loop never reaches is never written.
+    or after KRYLOV_MAX_STEPS (128) steps. The basis and A times it are
+    column-major, so each step's slices are contiguous.
 
-    Checkpoints are paid for only where they are likely to succeed: once
-    the basis is large, an `eigh` of T costs more than a block step. The
-    first comes at step 0 (a warm start may already be converged), the
-    second `_FIRST_GAP` steps later. After that the log-residual rate
-    between the last two checks is extrapolated to the step where the
-    residual reaches its tolerance, at most `_MAX_GAP` steps on (again
-    `_FIRST_GAP` if the residual did not fall). A check also comes at the
-    step cap and at every step whose next block could give the basis d
-    columns, so converged pairs never leave through that exit. With
-    `stall`, the loop also stops at a check whose residual is no lower
-    than the one before, for a caller to whom a dense decomposition is
-    cheaper than a slow loop.
+    Thick restarts bound the basis (Wu & Simon 2000; Stewart's
+    Krylov-Schur, 2001). When the next block could take the basis past
+    `_RESTART_WIDTH` (20) k columns, that step's check is also a restart:
+    the top quarter of T's Ritz pairs, at least k, replace the basis
+    (Q <- Q Y, A Q <- A Q Y, T <- diag(theta)), and the block just
+    projected off the old basis follows them. That block is orthogonal to
+    the old basis, so to the kept vectors; A maps the kept vectors into
+    their span plus that block's, so the next step's coefficients fill T's
+    new rows as before. A restart costs a small `eigh` where an unrestarted
+    basis would keep growing, and both the projections and the later
+    `eigh` calls grow with the basis. A restarted basis loses ground where
+    the k-th eigenvalue sits barely above the next, so each restart first
+    extrapolates the log-residual rate over its cycle (the steps since the
+    previous restart, or since step 0): if that rate does not bring the
+    residual to its tolerance by the step cap, the loop stops restarting
+    at that width, and the basis grows to `_MAX_WIDTH` (65) k columns,
+    where it restarts only if it fills. The basis never holds more than
+    min(d, 65 k) columns, as many as 64 unrestarted steps would make; its
+    arrays are allocated at the restart width and widened only when the
+    loop stops restarting there.
+
+    Checks are paid for only where they are likely to succeed: once the
+    basis is large, an `eigh` of T costs more than a block step. The first
+    comes at step 0 (a warm start may already be converged), the second
+    `_FIRST_GAP` steps later. After that the log-residual rate between the
+    last two checks is extrapolated to the step where the residual reaches
+    its tolerance, at most `_MAX_GAP` steps on (again `_FIRST_GAP` if the
+    residual did not fall); restarts do not reset this schedule. A check
+    also comes at the step cap, at every step that may restart, and at
+    every step whose next block could give the basis d columns, so
+    converged pairs never leave through that exit. With `stall`, the loop
+    also stops at a check whose residual is no lower than the one before,
+    for a caller to whom a dense decomposition is cheaper than a slow loop.
 
     The residual cannot fall below the round-off of `eigh` on T, about
     eps * ||T||. When A has entries far above its top eigenvalues (the
@@ -214,10 +243,16 @@ def block_krylov_top(
     at a residual of `_ROUNDOFF` * ||T||, within a small factor of what a
     dense `eigh` of A attains.
 
-    Monotone by construction: S lies in the basis, so the returned W has
+    Monotone by construction: S lies in the first basis, and the Ritz
+    vectors of a basis maximise the trace over its k-dimensional
+    subspaces. A restart keeps the top k Ritz vectors of the basis it
+    replaces, and every later basis contains them, so no restart lowers
+    the best trace the loop has found: the returned W has
     Tr(W^T A W) >= Tr(S^T A S) wherever the loop stops. The tolerance sets
     the accuracy, not the ascent.
 
+    `steps` counts block steps over all cycles, `checks` the Rayleigh-Ritz
+    projections (one per restart among them) and `restarts` the restarts.
     `converged` is False when the loop stopped short of the tolerance, and
     `stop` says where: at the step cap, at a stall, when the next block
     would give the basis d columns ("full basis"), or when the basis became
@@ -232,13 +267,15 @@ def block_krylov_top(
     d, k = start.shape
     if not 1 <= k <= d:
         raise ValueError(f"start has {k} columns, out of range [1, {d}]")
-    cols = min(d, (KRYLOV_MAX_STEPS + 1) * k)
-    q = np.empty((d, cols), order="F")    # orthonormal basis
-    aq = np.empty((d, cols), order="F")   # A applied to it
-    t = np.empty((cols, cols))
+    cols = min(d, _MAX_WIDTH * k)  # the most columns the basis holds
+    limit = min(cols, _RESTART_WIDTH * k)  # the current restart width
+    q = np.empty((d, limit), order="F")    # orthonormal basis
+    aq = np.empty((d, limit), order="F")   # A applied to it
+    t = np.empty((limit, limit))
     q[:, :k] = start
-    lo, hi, steps = 0, k, 0
+    lo, hi, steps, restarts = 0, k, 0, 0
     checks, due, last = 0, 0, None  # last: (step, log excess) of a check
+    cycle = None  # (step, log excess) of the check that began the cycle
     while True:
         block = apply(q[:, lo:hi])
         aq[:, lo:hi] = block
@@ -248,8 +285,12 @@ def block_krylov_top(
         t[lo:hi, lo:hi] = (coef[lo:] + coef[lo:].T) / 2
 
         # The next block has at most hi - lo columns.
-        if steps in (due, KRYLOV_MAX_STEPS) or hi + (hi - lo) >= d:
-            ritz, excess = _rayleigh_ritz(
+        if (
+            steps in (due, KRYLOV_MAX_STEPS)
+            or hi + (hi - lo) > limit
+            or hi + (hi - lo) >= d
+        ):
+            ritz, excess, ritz_basis = _rayleigh_ritz(
                 q[:, :hi], aq[:, :hi], t[:hi, :hi], k
             )
             checks += 1
@@ -264,34 +305,68 @@ def block_krylov_top(
                 break
             due = _next_check(steps, log_excess, last)
             last = steps, log_excess
+            cycle = cycle or last
 
         norm = np.linalg.norm(block)
         block -= q[:, :hi] @ coef
         u, s, _ = np.linalg.svd(block, full_matrices=False)
-        keep = s > _DEFLATE * norm
-        width = int(np.count_nonzero(keep))
+        kept = s > _DEFLATE * norm
+        width = int(np.count_nonzero(kept))
         if width == 0 or hi + width >= d:
             # An invariant basis has round-off residuals whether or not it
             # holds the top eigenvectors, so its Ritz pairs prove nothing;
             # a basis of d columns is cheaper to replace by a dense eigh.
             # A step that could fill R^d was checked above.
             if last[0] < steps:
-                ritz, _ = _rayleigh_ritz(
+                ritz, _, _ = _rayleigh_ritz(
                     q[:, :hi], aq[:, :hi], t[:hi, :hi], k
                 )
                 checks += 1
             ritz.converged = False
             ritz.stop = "full basis" if width else "invariant basis"
             break
-        new = u[:, keep]
+        new = u[:, kept]
         new -= q[:, :hi] @ (q[:, :hi].T @ new)
+        if hi + width > limit and limit < cols:
+            # This step was checked above. Restart only if the cycle's rate
+            # reaches the tolerance by the step cap; otherwise grow.
+            rate = (last[1] - cycle[1]) / (steps - cycle[0])
+            if rate >= 0 or steps - last[1] / rate > KRYLOV_MAX_STEPS:
+                limit = cols
+                q, aq, t = _widen(q, aq, t, hi, cols)
+        if hi + width > limit:
+            theta, y = ritz_basis
+            keep = max(k, hi // 4)
+            q[:, :keep] = q[:, :hi] @ y[:, :keep]
+            aq[:, :keep] = aq[:, :hi] @ y[:, :keep]
+            t[:keep, :keep] = np.diag(theta[:keep])
+            hi, cycle = keep, last
+            restarts += 1
         lo, hi = hi, hi + width
-        q[:, lo:hi], _ = np.linalg.qr(new)
+        # The singular vectors are orthonormal, and the second projection
+        # takes off at most eps * norm / s_j < 1e-4 of each (s_j > 1e-12
+        # norm), so one Cholesky step of their Gram matrix, near I, makes
+        # them orthonormal again at a fraction of a QR's cost.
+        gram = np.linalg.cholesky(new.T @ new)
+        q[:, lo:hi] = new @ np.linalg.inv(gram).T
         steps += 1
 
-    ritz.steps, ritz.checks = steps, checks
+    ritz.steps, ritz.checks, ritz.restarts = steps, checks, restarts
     ritz.path = "krylov"
     return ritz
+
+
+def _widen(q, aq, t, hi: int, cols: int):
+    """Q, A Q and T moved into arrays of `cols` columns, the first `hi`
+    copied."""
+    d = q.shape[0]
+    wide_q = np.empty((d, cols), order="F")
+    wide_aq = np.empty((d, cols), order="F")
+    wide_t = np.empty((cols, cols))
+    wide_q[:, :hi] = q[:, :hi]
+    wide_aq[:, :hi] = aq[:, :hi]
+    wide_t[:hi, :hi] = t[:hi, :hi]
+    return wide_q, wide_aq, wide_t
 
 
 def _next_check(step: int, log_excess: float, last) -> int:
@@ -306,19 +381,21 @@ def _next_check(step: int, log_excess: float, last) -> int:
     return step + _FIRST_GAP
 
 
-def _rayleigh_ritz(q, aq, t, k: int) -> tuple[EigenPairs, float]:
-    """Top-k Ritz pairs from the basis Q, A Q and T = Q^T A Q, and the
-    factor by which their residual must still fall to converge (<= 1 once
-    it has)."""
+def _rayleigh_ritz(q, aq, t, k: int):
+    """Top-k Ritz pairs from the basis Q, A Q and T = Q^T A Q, the factor
+    by which their residual must still fall to converge (<= 1 once it
+    has), and every Ritz value of T with its vector, descending."""
     theta, y = np.linalg.eigh(t)
     floor = _ROUNDOFF * max(abs(theta[0]), abs(theta[-1]))
-    theta = theta[::-1][:k].copy()
-    y = y[:, ::-1][:, :k]
-    vectors = q @ y
-    worst, residual = _residual(aq @ y, vectors, theta)
+    theta, y = theta[::-1], y[:, ::-1]
+    top = y[:, :k]
+    vectors = q @ top
+    worst, residual = _residual(aq @ top, vectors, theta[:k])
     converged = residual <= KRYLOV_TOL or worst <= floor
     excess = residual / KRYLOV_TOL
     if floor > 0:
         excess = min(excess, worst / floor)
-    pairs = EigenPairs(theta, fix_signs(vectors), residual, 0, 0, converged)
-    return pairs, excess
+    pairs = EigenPairs(
+        theta[:k].copy(), fix_signs(vectors), residual, 0, 0, converged
+    )
+    return pairs, excess, (theta, y)

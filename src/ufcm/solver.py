@@ -21,14 +21,15 @@ shape of the (d, n) input, d' and what happened earlier in the solve:
 - Krylov: `update_w` takes the top d' Ritz pairs from a block Krylov
   basis warm-started at the previous W (`linalg.block_krylov_top`, which
   checks the pairs at steps extrapolated from the residual's rate of
-  fall), applying M to thin (d, b) blocks.
+  fall, and thick-restarts the basis to keep it small), applying M to
+  thin (d, b) blocks.
   - d > n (matrix-free): no X X^T is held. M applies through the (d, n)
     data at O(d (n + c) b), or O(d c b) at alpha = 1. The PCA init maps
     the top eigenvectors of the n x n X^T X through X
     (`linalg.gram_eig_top`).
-  - n >= d > (KRYLOV_MAX_STEPS + 1) d' = 65 d': M applies through the held
-    X X^T at O(d (d + c) b). Above that width the basis can never fill
-    R^d.
+  - n >= d > `_KRYLOV_WIDTH` d' = 65 d': M applies through the held
+    X X^T at O(d (d + c) b). The loop's basis never holds more than
+    65 d' columns, so above that width it can never fill R^d.
 - dense, otherwise: `sym_eig_top` decomposes the d x d M in full. The PCA
   init decomposes the held X X^T.
 
@@ -51,18 +52,25 @@ rose from 50 to 109 MB.
 
 Why these rules, from single-process first W steps on the benchmark's
 blob generator (c = 5, beta = p = 1, seeds 101-106, shapes 800 x 1500,
-500 x 1000 and 400 x 2000, 2 vCPUs):
+500 x 1000 and 400 x 2000, 2 vCPUs), taken with the loop before it
+restarted, when its cap was 64 steps on a basis that only grew:
 
 - alpha = 10: the residual rose over the first 4 block steps in all 18
   first W steps; the stall stop falls back after those 4 steps instead of
-  the 64 of the step cap.
+  the 64 of the step cap. The restarted loop keeps that check: its first
+  restart comes after 19 steps.
 - alpha = 2: on the 800- and 500-feature shapes the residual kept falling
   slowly, and every first W step ran 64 steps before falling back; on
-  400 x 2000 they converged in 55-62 steps.
+  400 x 2000 they converged in 55-62 steps. The restarted loop, whose
+  cap is 128 steps, converges there (800 x 1500, seeds 1, 2 and 7: 94-122
+  steps per W step).
 - alpha = 0.1: the stall stop misfired on 3 of 54 W steps, costing speed
   only; the dense eigh it falls back to is exact.
 - 200 x 5000 at d' = 10 (d = 20 d'), forced onto the Krylov loop: its W
   steps took 44 ms per solve against 20 ms dense (medians of 9 solves).
+  The routing width of 65 d' came from the old cap, 64 steps of at most
+  d' columns each; it is now its own constant, kept where it was, since
+  the restarted loop's column bound is still 65 d'.
 - after a fallback on d <= n, the rest of the solve is dense. Without
   that rule, every later alpha = 10 W step on 800 x 1500 (seeds 1-6, one
   shared start, 3 iterations, 1 BLAS thread, min of 3 solves) ran all 64
@@ -83,14 +91,15 @@ only at the shape nearest d = n: 300 x 250 took 89-94-100 ms dense and
 98-109-114 ms matrix-free, 800 x 700 597-608-660 and 432-441-485 ms, and
 400 x 80 111-113-125 and 59-62-65 ms.
 
-The previous W lies in the Krylov basis, so the Ritz W has Tr(W^T M W) >=
-Tr(W_prev^T M W_prev) wherever the loop stops: the W step stays an ascent
-step and the objective stays monotone whatever the tolerance. The Ritz
-vectors match the dense eigenvectors to the Krylov tolerance, not to
-round-off (subspaces within about 1e-9 on blob inputs), so on a Krylov
-shape the results differ slightly from the dense path's on the same
-input. Each path is bit-reproducible on its own at a given BLAS thread
-count (see `solve`).
+The previous W lies in the first Krylov basis, and each thick restart
+keeps the top d' Ritz vectors of the basis it replaces, so the Ritz W has
+Tr(W^T M W) >= Tr(W_prev^T M W_prev) wherever the loop stops: the W step
+stays an ascent step and the objective stays monotone whatever the
+tolerance. The Ritz vectors match the dense eigenvectors to the Krylov
+tolerance, not to round-off (subspaces within about 1e-9 on blob inputs),
+so on a Krylov shape the results differ slightly from the dense path's on
+the same input. Each path is bit-reproducible on its own at a given BLAS
+thread count (see `solve`).
 
 Input X must be centered (features-by-samples); use `dataset.center` first.
 Labels never enter: `solve` takes a bare ndarray.
@@ -115,7 +124,6 @@ from .kmeans import (
     update_u_with_candidates,
 )
 from .linalg import (
-    KRYLOV_MAX_STEPS,
     EigenPairs,
     block_krylov_top,
     gram_eig_top,
@@ -130,6 +138,10 @@ _log = logging.getLogger(__name__)
 # Share of |1 - alpha| lambda_1(X X^T) by which `MOperator.top_floor`
 # lowers its bound, to stay below M's through the round-off of the eigh.
 _GRAM_SLACK = 1e-12
+
+# A d <= n shape takes the Krylov loop only when d > _KRYLOV_WIDTH d':
+# measured, not derived from the loop's step cap (see the module docstring).
+_KRYLOV_WIDTH = 65
 
 
 @dataclass
@@ -182,8 +194,12 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
-        if not self.eps_row > 0:
-            raise ValueError("eps_row must be > 0")
+        if not 0.0 < self.eps_row < 1.0:
+            # W's row norms are at most 1: a floor at 1 or above would
+            # make D constant, a shift the W step could not see.
+            raise ValueError(
+                f"eps_row must lie in (0, 1), got {self.eps_row}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -214,6 +230,7 @@ class SolverTrace:
     eig_path: list[str] = field(default_factory=list)
     eig_steps: list[int] = field(default_factory=list)
     eig_checks: list[int] = field(default_factory=list)
+    eig_restarts: list[int] = field(default_factory=list)
     eig_residual: list[float] = field(default_factory=list)
     # Why a Krylov W step fell back (`EigenPairs.stop`); "" otherwise.
     eig_stop: list[str] = field(default_factory=list)
@@ -394,6 +411,7 @@ def update_w(
     pairs = sym_eig_top(m.dense(), d_prime)
     pairs.path = "krylov-fallback"
     pairs.steps, pairs.checks, pairs.stop = ritz.steps, ritz.checks, ritz.stop
+    pairs.restarts = ritz.restarts
     return pairs
 
 
@@ -471,9 +489,8 @@ def solve(
         )
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.max_iter + 1)
 
-    # The basis of a Krylov loop on a d <= n shape stays below d columns.
     matrix_free = _matrix_free(d, n)
-    krylov = matrix_free or d > (KRYLOV_MAX_STEPS + 1) * d_prime
+    krylov = matrix_free or d > _KRYLOV_WIDTH * d_prime
     eig, km = start.eig, start.km
     w = eig.vectors
     y = w.T @ x  # shared by the terms, the G update and the next U update
@@ -502,14 +519,16 @@ def solve(
         trace.eig_path.append(eig.path)
         trace.eig_steps.append(eig.steps)
         trace.eig_checks.append(eig.checks)
+        trace.eig_restarts.append(eig.restarts)
         trace.eig_residual.append(eig.residual)
         trace.eig_stop.append(eig.stop)
         trace.lloyd_steps.append(steps)
         trace.u_winner.append(winner)
         _log.debug(
             "state %d: objective=%r eig_path=%s eig_steps=%d "
-            "lloyd_steps=%d u_winner=%d",
-            len(trace) - 1, obj, eig.path, eig.steps, steps, winner,
+            "eig_restarts=%d lloyd_steps=%d u_winner=%d",
+            len(trace) - 1, obj, eig.path, eig.steps, eig.restarts, steps,
+            winner,
         )
         return rel
 

@@ -88,6 +88,8 @@ def test_record_trace_reports_the_eigensolver(tmp_path):
     assert len(tr["eig_steps"]) == len(tr["eig_residual"]) == states
     assert tr["eig_checks"][0] == 0
     assert min(tr["eig_checks"][1:]) >= 1
+    assert len(tr["eig_restarts"]) == states
+    assert tr["eig_restarts"][0] == 0
     assert max(tr["eig_residual"]) <= 1e-8
 
 
@@ -721,6 +723,9 @@ def test_load_record_names_the_path_on_bad_json_or_bad_utf8(record_path):
          "must be real number"),
         (lambda r: {**r, "config": {**r["config"], "c": 2.5}},
          "c must be an integer"),
+        # JSON holds no inf; 1e300 is as far past W's row norms.
+        (lambda r: {**r, "config": {**r["config"], "eps_row": 1e300}},
+         "eps_row must lie in (0, 1)"),
     ],
 )
 def test_load_record_names_the_path_and_the_problem(

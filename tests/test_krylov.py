@@ -127,16 +127,88 @@ def test_a_d_greater_than_n_fallback_is_retried_each_w_step(caplog):
     ]
 
 
-def test_a_d_greater_than_n_w_step_converges_after_a_fallback():
-    # At alpha = 10 the first W step reaches the step cap and falls back;
-    # the next two, warm-started at the dense W, converge on the loop.
+def test_every_d_greater_than_n_w_step_converges_on_the_loop():
+    # At alpha = 10 the first W step's residual falls too slowly for a
+    # basis that restarts at 20 d' columns: the loop stops restarting
+    # there, grows and converges on the loop, where a basis capped at 64
+    # steps fell back to a 400 x 400 eigh. The next two converge too.
     x = centered_normal(0, 400, 60)
     cfg = SolverConfig(alpha=10.0, beta=1.0, p=1.0, c=3, max_iter=3)
     tr = check_solve(x, cfg).trace
-    assert tr.eig_path == ["dense", "krylov-fallback", "krylov", "krylov"]
-    assert tr.eig_stop == ["", "step cap", "", ""]
-    assert tr.eig_steps[1] == linalg.KRYLOV_MAX_STEPS
-    assert max(tr.eig_steps[2:]) < linalg.KRYLOV_MAX_STEPS
+    assert tr.eig_path == ["dense"] + ["krylov"] * 3
+    assert tr.eig_stop == [""] * 4
+    assert tr.eig_steps[1] > 64
+    assert max(tr.eig_steps) < linalg.KRYLOV_MAX_STEPS
+
+
+def tiny_gap_operator(d, k=4, seed=0):
+    """A symmetric A whose k-th eigenvalue sits 0.5 above the next, far
+    below its spread, as the solver's M has it at d' = c; and a start 1e-2
+    off A's top k eigenvectors."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    values = np.r_[
+        np.linspace(1880.0, 1690.0, k - 1),
+        -0.76,
+        np.linspace(-1.26, -300.0, d - k),
+    ]
+    a = (basis * values) @ basis.T
+    a = (a + a.T) / 2
+    start, _ = np.linalg.qr(basis[:, :k] + 1e-2 * rng.normal(size=(d, k)))
+    return a, start
+
+
+@pytest.mark.parametrize("d", [300, 400])
+def test_restarted_loop_agrees_with_dense_eigh_on_a_tiny_gap(d):
+    a, start = tiny_gap_operator(d)
+    ritz = block_krylov_top(lambda v: a @ v, start)
+    dense = sym_eig_top(a, 4)
+    assert ritz.converged
+    assert ritz.restarts >= 2
+    assert np.all(
+        np.abs(ritz.values - dense.values) <= 1e-9 * np.abs(dense.values)
+    )
+    v, u = ritz.vectors, dense.vectors
+    assert np.linalg.norm(v - u @ (u.T @ v), 2) <= 1e-8
+    assert np.linalg.norm(v.T @ v - np.eye(4)) <= 1e-12
+
+
+def test_restarts_never_lower_the_trace(monkeypatch):
+    # Each check, restarts among them, gives the top Ritz pairs of the
+    # basis the loop holds then. A restart keeps them, so their trace
+    # never falls from one check to the next, nor below the start's.
+    a, start = tiny_gap_operator(300)
+    traces = [float(np.trace(start.T @ a @ start))]
+
+    def spy(*args):
+        pairs, excess, basis = rayleigh_ritz(*args)
+        w = pairs.vectors
+        traces.append(float(np.trace(w.T @ a @ w)))
+        return pairs, excess, basis
+
+    rayleigh_ritz = linalg._rayleigh_ritz
+    monkeypatch.setattr(linalg, "_rayleigh_ritz", spy)
+    ritz = block_krylov_top(lambda v: a @ v, start)
+    assert ritz.restarts >= 2
+    assert len(traces) == ritz.checks + 1
+    slack = 1e-10 * abs(traces[0])
+    assert all(b >= p - slack for p, b in zip(traces, traces[1:]))
+
+
+def test_one_restarted_w_step_holds_a_bounded_basis():
+    # Q and A Q at 20 d' columns, against the 65 d' columns that the
+    # basis of 64 unrestarted steps fills.
+    op, start = first_w_step(1200, 200, 4)
+    d, k = start.shape
+    tracemalloc.start()
+    try:
+        ritz = block_krylov_top(op.__matmul__, start)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ritz.converged and ritz.restarts >= 1
+    assert peak < 8 * d * (2 * 20 * k + 16 * k)
+    assert peak < 0.5 * 2 * 8 * d * 65 * k
 
 
 @pytest.mark.parametrize("d, path", [(130, "dense"), (131, "krylov")])
@@ -462,6 +534,8 @@ def test_matrix_free_solve_holds_no_d_by_d_array():
     finally:
         tracemalloc.stop()
     assert res.trace.eig_path[1:] == ["krylov"] * 3
+    assert min(res.trace.eig_restarts[1:]) > 0
+    assert res.trace.eig_restarts[0] == 0
     assert peak < 8 * 1200**2
 
 

@@ -74,6 +74,14 @@ def test_config_validation():
             cfg_for(**bad)
 
 
+@pytest.mark.parametrize("eps_row", [1.0, 2.0, 1e300, float("inf")])
+def test_config_rejects_an_eps_row_that_floors_every_row(eps_row):
+    # An orthonormal W has row norms <= 1: a floor at 1 or above would
+    # make D one constant, which the W step cannot see and J still counts.
+    with pytest.raises(ValueError, match=r"^eps_row must lie in \(0, 1\)"):
+        cfg_for(eps_row=eps_row)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -357,6 +365,7 @@ def test_trace_reports_the_dense_eigensolve_per_state():
     assert res.trace.eig_path == ["dense"] * len(res.trace)
     assert res.trace.eig_steps == [0] * len(res.trace)
     assert res.trace.eig_checks == [0] * len(res.trace)
+    assert res.trace.eig_restarts == [0] * len(res.trace)
     assert max(res.trace.eig_residual) <= 1e-12
 
 
@@ -589,6 +598,7 @@ def test_solve_logs_one_debug_line_per_state(caplog, capsys):
         assert rec.getMessage() == (
             f"state {i}: objective={t.objective[i]!r} "
             f"eig_path={t.eig_path[i]} eig_steps={t.eig_steps[i]} "
+            f"eig_restarts={t.eig_restarts[i]} "
             f"lloyd_steps={t.lloyd_steps[i]} u_winner={t.u_winner[i]}"
         )
     assert capsys.readouterr().out == ""
