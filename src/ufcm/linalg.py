@@ -40,6 +40,7 @@ _ROUNDOFF = 1e-14      # residual floor, as a share of ||T|| (see below)
 _FIRST_GAP = 4         # block steps to the next check, no rate known
 _MAX_GAP = 16          # most block steps between two later checks
 _DEFLATE = 1e-12       # new directions below this share of the block drop
+_RENORM = 1e-4         # below this share, re-normalise a new block
 _RESTART_WIDTH = 20    # basis columns, in multiples of k, to restart past
 _MAX_WIDTH = 65        # most basis columns, in multiples of k
 
@@ -310,8 +311,7 @@ def block_krylov_top(
         norm = np.linalg.norm(block)
         block -= q[:, :hi] @ coef
         u, s, _ = np.linalg.svd(block, full_matrices=False)
-        kept = s > _DEFLATE * norm
-        width = int(np.count_nonzero(kept))
+        width = int(np.count_nonzero(s > _DEFLATE * norm))
         if width == 0 or hi + width >= d:
             # An invariant basis has round-off residuals whether or not it
             # holds the top eigenvectors, so its Ritz pairs prove nothing;
@@ -325,7 +325,7 @@ def block_krylov_top(
             ritz.converged = False
             ritz.stop = "full basis" if width else "invariant basis"
             break
-        new = u[:, kept]
+        new = u[:, :width]  # s is descending: the kept columns lead
         new -= q[:, :hi] @ (q[:, :hi].T @ new)
         if hi + width > limit and limit < cols:
             # This step was checked above. Restart only if the cycle's rate
@@ -342,13 +342,17 @@ def block_krylov_top(
             t[:keep, :keep] = np.diag(theta[:keep])
             hi, cycle = keep, last
             restarts += 1
+        if s[width - 1] < _RENORM * norm:
+            # The singular vectors are orthonormal, and the second
+            # projection takes off about eps * norm / s_j of each: below
+            # 1e-12 while s_j >= _RENORM * norm, so that their Gram matrix
+            # stays I to round-off. Past that, up to about 1e-4 (s_j >
+            # 1e-12 norm), one Cholesky step of it, near I, makes them
+            # orthonormal again.
+            gram = np.linalg.cholesky(new.T @ new)
+            new = new @ np.linalg.inv(gram).T
         lo, hi = hi, hi + width
-        # The singular vectors are orthonormal, and the second projection
-        # takes off at most eps * norm / s_j < 1e-4 of each (s_j > 1e-12
-        # norm), so one Cholesky step of their Gram matrix, near I, makes
-        # them orthonormal again at a fraction of a QR's cost.
-        gram = np.linalg.cholesky(new.T @ new)
-        q[:, lo:hi] = new @ np.linalg.inv(gram).T
+        q[:, lo:hi] = new
         steps += 1
 
     ritz.steps, ritz.checks, ritz.restarts = steps, checks, restarts
