@@ -211,18 +211,19 @@ def block_krylov_top(
     projected off the old basis follows them. That block is orthogonal to
     the old basis, so to the kept vectors; A maps the kept vectors into
     their span plus that block's, so the next step's coefficients fill T's
-    new rows as before. A restart costs a small `eigh` where an unrestarted
-    basis would keep growing, and both the projections and the later
-    `eigh` calls grow with the basis. A restarted basis loses ground where
-    the k-th eigenvalue sits barely above the next, so each restart first
-    extrapolates the log-residual rate over its cycle (the steps since the
-    previous restart, or since step 0): if that rate does not bring the
-    residual to its tolerance by the step cap, the loop stops restarting
-    at that width, and the basis grows to `_MAX_WIDTH` (65) k columns,
-    where it restarts only if it fills. The basis never holds more than
-    min(d, 65 k) columns, as many as 64 unrestarted steps would make; its
-    arrays are allocated at the restart width and widened only when the
-    loop stops restarting there.
+    new rows as before. A restart costs one small `eigh` and two products
+    with the kept Ritz vectors; in exchange every later projection and
+    `eigh` works on a basis of at most 20 k columns.
+
+    A restarted basis loses ground where the k-th eigenvalue sits barely
+    above the next, so each restart first extrapolates the log-residual
+    rate over its cycle (the steps since the previous restart, or since
+    step 0): if that rate does not bring the residual to its tolerance by
+    the step cap, the loop stops restarting at that width, and the basis
+    grows to `_MAX_WIDTH` (65) k columns, where it restarts only if it
+    fills. The basis never holds more than min(d, 65 k) columns, as many
+    as 64 unrestarted steps would make; its arrays are allocated at the
+    restart width and widened only when the loop stops restarting there.
 
     Checks are paid for only where they are likely to succeed: once the
     basis is large, an `eigh` of T costs more than a block step. The first
@@ -343,12 +344,11 @@ def block_krylov_top(
             hi, cycle = keep, last
             restarts += 1
         if s[width - 1] < _RENORM * norm:
-            # The singular vectors are orthonormal, and the second
-            # projection takes off about eps * norm / s_j of each: below
-            # 1e-12 while s_j >= _RENORM * norm, so that their Gram matrix
-            # stays I to round-off. Past that, up to about 1e-4 (s_j >
-            # 1e-12 norm), one Cholesky step of it, near I, makes them
-            # orthonormal again.
+            # The second projection takes about eps * norm / s_j off each
+            # orthonormal singular vector: too little to move their Gram
+            # matrix off I while s_j >= _RENORM * norm. Below that, up to
+            # 1e-4 at the deflation bound, one Cholesky step of it
+            # restores orthonormality.
             gram = np.linalg.cholesky(new.T @ new)
             new = new @ np.linalg.inv(gram).T
         lo, hi = hi, hi + width
@@ -385,7 +385,9 @@ def _next_check(step: int, log_excess: float, last) -> int:
     return step + _FIRST_GAP
 
 
-def _rayleigh_ritz(q, aq, t, k: int):
+def _rayleigh_ritz(
+    q, aq, t, k: int
+) -> tuple[EigenPairs, float, tuple[np.ndarray, np.ndarray]]:
     """Top-k Ritz pairs from the basis Q, A Q and T = Q^T A Q, the factor
     by which their residual must still fall to converge (<= 1 once it
     has), and every Ritz value of T with its vector, descending."""
