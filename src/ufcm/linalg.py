@@ -17,7 +17,8 @@ Two ways to the top-k eigenpairs of a symmetric matrix:
   the newest block. The kept vectors hold the best k found so far, so no
   restart lowers the trace. Where the residual falls too slowly for the
   restarted loop to converge by its step cap, the basis stops restarting
-  and grows to at most 65 k columns instead.
+  and grows to at most 65 k columns instead; where it falls too slowly
+  for that too, the loop stops once that basis is full.
 
 `gram_eig_top` gives the top k <= d eigenpairs of X X^T for a (d, n) X
 with d > n from the n x n product X^T X, without forming the d x d one.
@@ -220,10 +221,13 @@ def block_krylov_top(
     rate over its cycle (the steps since the previous restart, or since
     step 0): if that rate does not bring the residual to its tolerance by
     the step cap, the loop stops restarting at that width, and the basis
-    grows to `_MAX_WIDTH` (65) k columns, where it restarts only if it
-    fills. The basis never holds more than min(d, 65 k) columns, as many
-    as 64 unrestarted steps would make; its arrays are allocated at the
-    restart width and widened only when the loop stops restarting there.
+    grows to `_MAX_WIDTH` (65) k columns. When that basis fills, the same
+    test picks between a restart and a stop at "step cap": a loop whose
+    grown basis cannot reach the tolerance by the cap gives up after
+    about the 64 steps that fill it, not 128. The basis never holds more
+    than min(d, 65 k) columns, as many as 64 unrestarted steps would
+    make; its arrays are allocated at the restart width and widened only
+    when the loop stops restarting there.
 
     Checks are paid for only where they are likely to succeed: once the
     basis is large, an `eigh` of T costs more than a block step. The first
@@ -256,7 +260,8 @@ def block_krylov_top(
     `steps` counts block steps over all cycles, `checks` the Rayleigh-Ritz
     projections (one per restart among them) and `restarts` the restarts.
     `converged` is False when the loop stopped short of the tolerance, and
-    `stop` says where: at the step cap, at a stall, when the next block
+    `stop` says where: at the step cap (reached, or out of reach from a
+    full basis), at a stall, when the next block
     would give the basis d columns ("full basis"), or when the basis became
     invariant first. An invariant basis gives exact eigenpairs, but not
     necessarily the top k: a start confined to an invariant subspace of A
@@ -328,11 +333,15 @@ def block_krylov_top(
             break
         new = u[:, :width]  # s is descending: the kept columns lead
         new -= q[:, :hi] @ (q[:, :hi].T @ new)
-        if hi + width > limit and limit < cols:
+        if hi + width > limit:
             # This step was checked above. Restart only if the cycle's rate
-            # reaches the tolerance by the step cap; otherwise grow.
+            # reaches the tolerance by the step cap; otherwise grow, or at
+            # full width give up.
             rate = (last[1] - cycle[1]) / (steps - cycle[0])
             if rate >= 0 or steps - last[1] / rate > KRYLOV_MAX_STEPS:
+                if limit == cols:
+                    ritz.stop = "step cap"
+                    break
                 limit = cols
                 q, aq, t = _widen(q, aq, t, hi, cols)
         if hi + width > limit:

@@ -61,9 +61,9 @@ restarted, when its cap was 64 steps on a basis that only grew:
   restart comes after 19 steps.
 - alpha = 2: on the 800- and 500-feature shapes the residual kept falling
   slowly, and every first W step ran 64 steps before falling back; on
-  400 x 2000 they converged in 55-62 steps. The restarted loop, whose
-  cap is 128 steps, converges there (800 x 1500, seeds 1, 2 and 7: 94-122
-  steps per W step).
+  400 x 2000 they converged in 55-62 steps. The restarted loop still
+  falls back there, after 79 steps on 800 x 1500 (seeds 1, 2 and 7),
+  when its grown basis fills at a rate that misses the step cap.
 - alpha = 0.1: the stall stop misfired on 3 of 54 W steps, costing speed
   only; the dense eigh it falls back to is exact.
 - 200 x 5000 at d' = 10 (d = 20 d'), forced onto the Krylov loop: its W

@@ -195,6 +195,31 @@ def test_restarts_never_lower_the_trace(monkeypatch):
     assert all(b >= p - slack for p, b in zip(traces, traces[1:]))
 
 
+def test_a_loop_out_of_reach_of_the_cap_stops_when_its_basis_fills():
+    # A's top 4 eigenvalues sit above 100 more within 0.7 of them, and the
+    # spectrum reaches -1e4: the residual falls far too slowly to reach its
+    # tolerance by the step cap. The loop stops restarting at 20 k
+    # columns, grows, and gives up when the basis fills at 65 k, not at
+    # the cap; its Ritz pairs still raise the start's trace.
+    rng = np.random.default_rng(0)
+    d, k = 300, 4
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    values = np.r_[
+        [1.0, 0.9, 0.8, 0.7],
+        np.linspace(0.69, 0.0, 100),
+        np.linspace(-1.0, -1e4, d - 104),
+    ]
+    a = (basis * values) @ basis.T
+    a = (a + a.T) / 2
+    start, _ = np.linalg.qr(rng.normal(size=(d, k)))
+    ritz = block_krylov_top(lambda v: a @ v, start)
+    assert (ritz.converged, ritz.stop) == (False, "step cap")
+    assert ritz.steps == 64 < linalg.KRYLOV_MAX_STEPS
+    assert ritz.restarts == 0
+    w = ritz.vectors
+    assert np.trace(w.T @ a @ w) >= np.trace(start.T @ a @ start)
+
+
 def test_one_restarted_w_step_holds_a_bounded_basis():
     # Q and A Q at 20 d' columns, against the 65 d' columns that the
     # basis of 64 unrestarted steps fills.
