@@ -335,8 +335,8 @@ def block_krylov_top(
         new -= q[:, :hi] @ (q[:, :hi].T @ new)
         if hi + width > limit:
             # This step was checked above. Restart only if the cycle's rate
-            # reaches the tolerance by the step cap; otherwise grow, or at
-            # full width give up.
+            # reaches the tolerance by the step cap; otherwise grow to
+            # `cols` columns, or give up if the basis has them already.
             rate = (last[1] - cycle[1]) / (steps - cycle[0])
             if rate >= 0 or steps - last[1] / rate > KRYLOV_MAX_STEPS:
                 if limit == cols:
@@ -344,14 +344,14 @@ def block_krylov_top(
                     break
                 limit = cols
                 q, aq, t = _widen(q, aq, t, hi, cols)
-        if hi + width > limit:
-            theta, y = ritz_basis
-            keep = max(k, hi // 4)
-            q[:, :keep] = q[:, :hi] @ y[:, :keep]
-            aq[:, :keep] = aq[:, :hi] @ y[:, :keep]
-            t[:keep, :keep] = np.diag(theta[:keep])
-            hi, cycle = keep, last
-            restarts += 1
+            if hi + width > limit:
+                theta, y = ritz_basis
+                keep = max(k, hi // 4)
+                q[:, :keep] = q[:, :hi] @ y[:, :keep]
+                aq[:, :keep] = aq[:, :hi] @ y[:, :keep]
+                t[:keep, :keep] = np.diag(theta[:keep])
+                hi, cycle = keep, last
+                restarts += 1
         if s[width - 1] < _RENORM * norm:
             # The second projection takes about eps * norm / s_j off each
             # orthonormal singular vector: too little to move their Gram

@@ -38,8 +38,9 @@ init K-means run) depends on X, c, d' and the seed only, so a grid over
 alpha, beta and p builds it once (`build_start`).
 
 A Krylov W step falls back to the dense eigh of M ("krylov-fallback") when
-the loop stops short of its tolerance (step cap, an invariant basis, or a
-basis that would fill R^d), or when its Ritz values fall below a lower
+the loop stops short of its tolerance (the step cap, reached or out of
+reach once its grown basis is full; an invariant basis; or a basis that
+would fill R^d), or when its Ritz values fall below a lower
 bound on M's top d' eigenvalues (`MOperator.top_floor`, Weyl's inequality
 on the X X^T eigenvalues that the start's eigh returned). On the
 d <= n shape, forming M needs no product with X, so the loop also stops

@@ -379,7 +379,9 @@ def test_rank_deficient_dense_shape_w_step_matches_dense_eigh(alpha, d_prime):
     # X's range and maps that range into itself. At d' = 8 the start's
     # Ritz pairs converge at once to the wrong eigenvalues; the start's
     # X X^T eigenvalues end in zeros there, and the floor from them
-    # rejects those pairs.
+    # rejects those pairs. At alpha = 2 and d' = 2 a new block's smallest
+    # kept direction is 1e-12 of its norm: the second projection leaves
+    # its Gram matrix 2e-9 off I, which the loop must re-normalise.
     rng = np.random.default_rng(0)
     x = rng.normal(size=(600, 4)) @ rng.normal(size=(4, 700))
     x -= x.mean(axis=1, keepdims=True)
@@ -391,6 +393,7 @@ def test_rank_deficient_dense_shape_w_step_matches_dense_eigh(alpha, d_prime):
     assert np.abs(got.values - want.values).max() <= 1e-9 * scale
     w = got.vectors
     assert float(np.trace(w.T @ m @ w)) >= want.values.sum() - 1e-9 * scale
+    assert np.linalg.norm(w.T @ w - np.eye(d_prime)) <= 1e-12
     if alpha > 1 and d_prime == 8:
         assert (got.path, got.stop) == ("krylov-fallback", "floor")
     check_solve(
