@@ -44,7 +44,7 @@ import numpy as np
 
 from .dataset import CsvFormatError, DataMatrix, center, load_csv, make_blobs
 from .metrics import EvalStats, evaluate_clustering, rank_features, select
-from .solver import SolverConfig, SolverResult, build_start, solve
+from .solver import EPS_ROW, SolverConfig, SolverResult, build_start, solve
 
 # The grid a bare flag sweeps; p's lies inside its range (0, 2).
 BARE_GRIDS = {
@@ -372,7 +372,10 @@ def load_record(path) -> tuple[dict, SolverConfig]:
 
     Raises ValueError naming `path` unless the file holds a JSON object
     whose "config" object has every required `SolverConfig` field, no
-    other key, and values that pass its checks.
+    other key, and values that pass its checks. Records written while the
+    row-norm floor was a setting carry it as "eps_row"; one equal to
+    `solver.EPS_ROW` loads without it, and any other value is refused,
+    since this version cannot reproduce that run.
     """
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -384,6 +387,12 @@ def load_record(path) -> tuple[dict, SolverConfig]:
     config = record.get("config") if isinstance(record, dict) else None
     if not isinstance(config, dict):
         raise ValueError(f'{path}: not a record with a "config" object')
+    config = dict(config)
+    if (eps_row := config.pop("eps_row", EPS_ROW)) != EPS_ROW:
+        raise ValueError(
+            f"{path}: config has eps_row={eps_row!r}; the row-norm floor is "
+            f"fixed at {EPS_ROW!r}, so this version cannot reproduce the run"
+        )
     names = {f.name for f in fields(SolverConfig)}
     required = {f.name for f in fields(SolverConfig) if f.default is MISSING}
     problems = []

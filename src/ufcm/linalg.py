@@ -36,6 +36,7 @@ import numpy as np
 
 KRYLOV_TOL = 1e-11     # relative Ritz residual at which the loop stops
 KRYLOV_MAX_STEPS = 128  # hard cap on block steps, restarts included
+KRYLOV_MAX_WIDTH = 65   # most basis columns, in multiples of k
 CENTER_TOL = 1e-6      # feature-mean bound, relative to max(1, max |x|)
 _ROUNDOFF = 1e-14      # residual floor, as a share of ||T|| (see below)
 _FIRST_GAP = 4         # block steps to the next check, no rate known
@@ -43,7 +44,6 @@ _MAX_GAP = 16          # most block steps between two later checks
 _DEFLATE = 1e-12       # new directions below this share of the block drop
 _RENORM = 1e-4         # below this share, re-normalise a new block
 _RESTART_WIDTH = 20    # basis columns, in multiples of k, to restart past
-_MAX_WIDTH = 65        # most basis columns, in multiples of k
 
 
 @dataclass
@@ -221,8 +221,8 @@ def block_krylov_top(
     rate over its cycle (the steps since the previous restart, or since
     step 0): if that rate does not bring the residual to its tolerance by
     the step cap, the loop stops restarting at that width, and the basis
-    grows to `_MAX_WIDTH` (65) k columns. When that basis fills, the same
-    test picks between a restart and a stop at "step cap": a loop whose
+    grows to `KRYLOV_MAX_WIDTH` (65) k columns. When that basis fills, the
+    same test picks between a restart and a stop at "step cap": a loop whose
     grown basis cannot reach the tolerance by the cap gives up after
     about the 64 steps that fill it, not 128. The basis never holds more
     than min(d, 65 k) columns, as many as 64 unrestarted steps would
@@ -274,7 +274,7 @@ def block_krylov_top(
     d, k = start.shape
     if not 1 <= k <= d:
         raise ValueError(f"start has {k} columns, out of range [1, {d}]")
-    cols = min(d, _MAX_WIDTH * k)  # the most columns the basis holds
+    cols = min(d, KRYLOV_MAX_WIDTH * k)  # the most columns the basis holds
     limit = min(cols, _RESTART_WIDTH * k)  # the current restart width
     q = np.empty((d, limit), order="F")    # orthonormal basis
     aq = np.empty((d, limit), order="F")   # A applied to it

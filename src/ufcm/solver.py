@@ -27,8 +27,8 @@ shape of the (d, n) input, d' and what happened earlier in the solve:
     data at O(d (n + c) b), or O(d c b) at alpha = 1. The PCA init maps
     the top eigenvectors of the n x n X^T X through X
     (`linalg.gram_eig_top`).
-  - n >= d > `_KRYLOV_WIDTH` d' = 65 d': M applies through the held
-    X X^T at O(d (d + c) b). The loop's basis never holds more than
+  - n >= d > `linalg.KRYLOV_MAX_WIDTH` d' = 65 d': M applies through the
+    held X X^T at O(d (d + c) b). The loop's basis never holds more than
     65 d' columns, so above that width it can never fill R^d.
 - dense, otherwise: `sym_eig_top` decomposes the d x d M in full. The PCA
   init decomposes the held X X^T.
@@ -53,29 +53,23 @@ rose from 50 to 109 MB.
 
 Why these rules, from single-process first W steps on the benchmark's
 blob generator (c = 5, beta = p = 1, seeds 101-106, shapes 800 x 1500,
-500 x 1000 and 400 x 2000, 2 vCPUs), taken with the loop before it
-restarted, when its cap was 64 steps on a basis that only grew:
+500 x 1000 and 400 x 2000, 2 vCPUs):
 
 - alpha = 10: the residual rose over the first 4 block steps in all 18
-  first W steps; the stall stop falls back after those 4 steps instead of
-  the 64 of the step cap. The restarted loop keeps that check: its first
-  restart comes after 19 steps.
-- alpha = 2: on the 800- and 500-feature shapes the residual kept falling
-  slowly, and every first W step ran 64 steps before falling back; on
-  400 x 2000 they converged in 55-62 steps. The restarted loop still
-  falls back there, after 79 steps on 800 x 1500 (seeds 1, 2 and 7),
+  first W steps; the stall stop falls back after those 4 steps, before
+  the loop's first restart at step 19.
+- alpha = 2: the residual keeps falling, slowly, so the loop does not
+  stall. It falls back after 79 steps on 800 x 1500 (seeds 1, 2 and 7),
   when its grown basis fills at a rate that misses the step cap.
 - alpha = 0.1: the stall stop misfired on 3 of 54 W steps, costing speed
   only; the dense eigh it falls back to is exact.
 - 200 x 5000 at d' = 10 (d = 20 d'), forced onto the Krylov loop: its W
   steps took 44 ms per solve against 20 ms dense (medians of 9 solves).
-  The routing width of 65 d' came from the old cap, 64 steps of at most
-  d' columns each; it is now its own constant, kept where it was, since
-  the restarted loop's column bound is still 65 d'.
+  Below 65 d' the basis can fill R^d, so those shapes stay dense.
 - after a fallback on d <= n, the rest of the solve is dense. Without
   that rule, every later alpha = 10 W step on 800 x 1500 (seeds 1-6, one
-  shared start, 3 iterations, 1 BLAS thread, min of 3 solves) ran all 64
-  block steps, its residual falling too slowly to stall, before falling
+  shared start, 3 iterations, 1 BLAS thread, min of 3 solves) ran its
+  loop out, the residual falling too slowly to stall, before falling
   back: 614-762 ms per solve against 374-463 ms with the rule. At alpha
   = 0.1 and 1 no W step fell back; paths and step counts were unchanged.
 
@@ -119,12 +113,15 @@ from .kmeans import (
     IndicatorMatrix,
     KMeansResult,
     centroid_sums,
-    centroids,
     fit_value,
     run_kmeans,
     update_u_with_candidates,
 )
+# The G update, W^T X U (U^T U)^{-1}: the per-cluster means of Y = W^T X.
+# Looked up here at call time, so a tracer can wrap the G step alone.
+from .kmeans import centroids as update_g
 from .linalg import (
+    KRYLOV_MAX_WIDTH,
     EigenPairs,
     block_krylov_top,
     gram_eig_top,
@@ -140,15 +137,16 @@ _log = logging.getLogger(__name__)
 # lowers its bound, to stay below M's through the round-off of the eigh.
 _GRAM_SLACK = 1e-12
 
-# A d <= n shape takes the Krylov loop only when d > _KRYLOV_WIDTH d':
-# measured, not derived from the loop's step cap (see the module docstring).
-_KRYLOV_WIDTH = 65
+# Floor on W's row norms in `compute_d`, so a zero row gets a finite D.
+EPS_ROW = 1e-8
 
 
 @dataclass
 class SolverConfig:
     """Solver hyperparameters, validated when built. d_prime = None means
-    d' = c; `d_prime_for` is the one place d' is resolved."""
+    d' = c; `d_prime_for` is the one place d' is resolved. The floor on
+    W's row norms in the reweighting diagonal is the constant `EPS_ROW`,
+    not a setting."""
 
     alpha: float
     beta: float
@@ -158,7 +156,6 @@ class SolverConfig:
     r: int = 10
     max_iter: int = 50
     tol: float = 1e-6
-    eps_row: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -170,7 +167,7 @@ class SolverConfig:
                 value, bool
             ):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("alpha", "beta", "p", "tol", "eps_row"):
+        for name in ("alpha", "beta", "p", "tol"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ValueError(f"{name} must be real number, got {value!r}")
@@ -195,12 +192,6 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
-        if not 0.0 < self.eps_row < 1.0:
-            # W's row norms are at most 1: a floor at 1 or above would
-            # make D constant, a shift the W step could not see.
-            raise ValueError(
-                f"eps_row must lie in (0, 1), got {self.eps_row}"
-            )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -352,9 +343,9 @@ def _matrix_free(d: int, n: int) -> bool:
 def compute_d(w: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     """Reweighting diagonal from W's row norms: (p/2) ||w^i||^(p-2).
 
-    Row norms are floored at cfg.eps_row so zero rows stay finite.
+    Row norms are floored at `EPS_ROW` so zero rows stay finite.
     """
-    norms = np.maximum(np.linalg.norm(w, axis=1), cfg.eps_row)
+    norms = np.maximum(np.linalg.norm(w, axis=1), EPS_ROW)
     return 1.0 / ((2.0 / cfg.p) * norms ** (2.0 - cfg.p))
 
 
@@ -414,12 +405,6 @@ def update_w(
     pairs.steps, pairs.checks, pairs.stop = ritz.steps, ritz.checks, ritz.stop
     pairs.restarts = ritz.restarts
     return pairs
-
-
-def update_g(y: np.ndarray, u: IndicatorMatrix) -> np.ndarray:
-    """Centroid closed form W^T X U (U^T U)^{-1}, i.e. per-cluster means,
-    from the projected data Y = W^T X."""
-    return centroids(y, u)
 
 
 def _checked(x, cfg: SolverConfig) -> tuple[np.ndarray, int]:
@@ -491,7 +476,7 @@ def solve(
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.max_iter + 1)
 
     matrix_free = _matrix_free(d, n)
-    krylov = matrix_free or d > _KRYLOV_WIDTH * d_prime
+    krylov = matrix_free or d > KRYLOV_MAX_WIDTH * d_prime
     eig, km = start.eig, start.km
     w = eig.vectors
     y = w.T @ x  # shared by the terms, the G update and the next U update

@@ -1,5 +1,9 @@
 import ast
+import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +54,12 @@ def test_deleted_helpers_are_gone():
             assert name not in ufcm.__all__, name
             assert not hasattr(ufcm, name), name
             assert callable(getattr(module, name)), name
+    # The row-norm floor is a constant, the G update is the K-means
+    # centroid step itself, and the Krylov routing width is linalg's.
+    fields = [f.name for f in dataclasses.fields(ufcm.SolverConfig)]
+    assert len(fields) == 9 and "eps_row" not in fields
+    assert ufcm.solver.update_g is ufcm.kmeans.centroids
+    assert not hasattr(ufcm.solver, "_KRYLOV_WIDTH")
 
 
 def test_every_name_the_benchmark_traces_exists():
@@ -78,3 +88,38 @@ def test_runtime_depends_on_numpy_alone():
     assert any(
         dep.startswith("scipy") for dep in project["optional-dependencies"]["test"]
     )
+
+
+_NUMPY_ALONE = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import ufcm.cli
+rc = ufcm.cli.main([
+    "--synthetic", "blobs:n_per_cluster=10,c=3,d_informative=3,d_noise=5,"
+    "separation=4.0,noise_scale=1.0",
+    "--clusters", "3", "--alpha", "0.5,1", "--max-iter", "2",
+    "--select", "3", "--eval-runs", "2", "--out", sys.argv[1],
+])
+test_only = ("scipy", "hypothesis", "pytest")
+loaded = sorted(
+    name for name, module in sys.modules.items()
+    if module is not None and name.split(".")[0] in test_only
+)
+print(rc, loaded)
+"""
+
+
+def test_the_cli_runs_with_numpy_alone(tmp_path):
+    # The tests import scipy, hypothesis and pytest; a fresh process with
+    # scipy blocked shows that a labelled CLI run needs none of them.
+    env = dict(os.environ, PYTHONPATH=str(Path(ufcm.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ALONE, str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout == "0 []\n"
+    assert len(list((tmp_path / "out").glob("record_gp*.json"))) == 2

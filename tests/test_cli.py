@@ -723,9 +723,9 @@ def test_load_record_names_the_path_on_bad_json_or_bad_utf8(record_path):
          "must be real number"),
         (lambda r: {**r, "config": {**r["config"], "c": 2.5}},
          "c must be an integer"),
-        # JSON holds no inf; 1e300 is as far past W's row norms.
+        # The row-norm floor was a setting once; only its fixed value loads.
         (lambda r: {**r, "config": {**r["config"], "eps_row": 1e300}},
-         "eps_row must lie in (0, 1)"),
+         "config has eps_row=1e+300"),
     ],
 )
 def test_load_record_names_the_path_and_the_problem(
@@ -737,6 +737,15 @@ def test_load_record_names_the_path_and_the_problem(
     message = str(info.value)
     assert message.startswith(f"{record_path}: ")
     assert problem in message
+
+
+def test_load_record_reads_an_old_record_at_the_fixed_row_floor(record_path):
+    # Records once carried the floor as config "eps_row"; at the value that
+    # is now `solver.EPS_ROW` they load to the same config.
+    _, cfg = load_record(record_path)
+    _rewrite(record_path, lambda r: {
+        **r, "config": {**r["config"], "eps_row": 1e-08}})
+    assert load_record(record_path)[1] == cfg
 
 
 def test_spec_validation():

@@ -127,6 +127,23 @@ def test_a_d_greater_than_n_fallback_is_retried_each_w_step(caplog):
     ]
 
 
+def test_a_d_greater_than_n_w_step_falls_back_at_the_step_cap():
+    # At alpha = 10 on 1200 x 200 the residual falls too slowly for the
+    # restarted basis and then for the grown one: each W step stops when
+    # its 65 d' columns fill, after 64 steps, and falls back to the dense
+    # eigh of M. That eigh forms the 1200 x 1200 X X^T.
+    x = center(make_blobs(50, 4, 20, 1180, 4.0, 1.0, seed=1)).values
+    cfg = SolverConfig(alpha=10.0, beta=1.0, p=1.0, c=4, max_iter=2, seed=1)
+    tr = solve(x, cfg).trace
+    assert tr.eig_path == ["dense", "krylov-fallback", "krylov-fallback"]
+    assert tr.eig_stop == ["", "step cap", "step cap"]
+    assert tr.eig_steps == [0, 64, 64]
+    obj = tr.objective
+    for prev, cur in zip(obj, obj[1:]):
+        assert cur >= prev - 1e-8 * (1.0 + abs(prev))
+    assert max(tr.w_orth_error) <= 1e-8
+
+
 def test_every_d_greater_than_n_w_step_converges_on_the_loop():
     # At alpha = 10 the first W step's residual falls too slowly for a
     # basis that restarts at 20 d' columns: the loop stops restarting
@@ -280,7 +297,7 @@ def test_one_block_step_never_lowers_the_trace(seed, zero_row, monkeypatch):
     # Tr(W^T A W) >= Tr(S^T A S). The start sits near the top eigenvectors,
     # as the solver's previous W does, so a basis without it would fall
     # short. The zero-row case is the solver's: a row of W at zero meets a
-    # diagonal entry near -1e13 (compute_d's eps_row floor at p = 0.25).
+    # diagonal entry near -1e13 (compute_d's EPS_ROW floor at p = 0.25).
     rng = np.random.default_rng(seed)
     d = int(rng.integers(20, 80))
     k = int(rng.integers(1, 6))
