@@ -1,16 +1,16 @@
 """Batch experiment runner.
 
-Pipeline: load or generate the data and center it (optionally scaling to
-unit variance), and build the solver's start (`solver.build_start`: the
-PCA init and the init K-means run, which depend on the data, c, d' and the
-seed but not on alpha, beta or p), once per run; then, per grid point,
-solve from that shared start, rank features, select each requested count,
-and evaluate by repeated K-means against ground-truth labels. One JSON
-record and one columnar trace file per grid point, a flat CSV summary
-across all of them, and (when labels exist) the best-by-accuracy row in a
-separate file, since picking by accuracy is an oracle selection
-unavailable to a truly unsupervised user. Grid points run one after
-another in grid order.
+Pipeline: load or generate the data and center it with `dataset.center`
+(which with --scale also scales it to unit variance), and build the
+solver's start (`solver.build_start`: the PCA init and the init K-means
+run, which depend on the data, c, d' and the seed but not on alpha, beta
+or p), once per run; then, per grid point, solve from that shared start,
+rank features, select each requested count, and evaluate by repeated
+K-means against ground-truth labels. One JSON record and one columnar
+trace file per grid point, a flat CSV summary across all of them, and
+(when labels exist) the best-by-accuracy row in a separate file, since
+picking by accuracy is an oracle selection unavailable to a truly
+unsupervised user. Grid points run one after another in grid order.
 
 The grid is the product of the solver hyperparameters, alpha-major. Each
 takes one value or a comma list under either of two spellings of one
@@ -141,6 +141,8 @@ def _parse_synthetic(text: str, seed: int) -> DataMatrix:
         key = key.strip()
         if not eq or key not in _BLOB_KEYS:
             raise UsageError(f"bad synthetic parameter {item!r}")
+        if key in kwargs:
+            raise UsageError(f"synthetic parameter {key!r} given twice")
         kwargs[key] = value
     missing = set(_BLOB_KEYS) - set(kwargs)
     if missing:
@@ -181,25 +183,7 @@ def _load_data(spec: ExperimentSpec) -> tuple[DataMatrix, dict]:
             "generator": spec.synthetic,
             "sha256": hashlib.sha256(text.encode()).hexdigest(),
         }
-    return _prepare(raw, spec.scale), source
-
-
-def _prepare(data: DataMatrix, scale: bool) -> DataMatrix:
-    """The data centered and, with `scale`, divided by each feature's std
-    (1 for a constant feature) and centered again, in one new array: the
-    bits of `center`, then `/ std`, then `center`."""
-    if not scale:
-        return center(data)
-    values = data.values - data.values.mean(axis=1)[:, None]
-    std = values.std(axis=1)
-    std[std == 0.0] = 1.0
-    values /= std[:, None]
-    # Centered again: dividing by a tiny std scales the centering residue
-    # up past `solve`'s centering check.
-    values -= values.mean(axis=1)[:, None]
-    return DataMatrix(
-        values, feature_names=data.feature_names, labels=data.labels
-    )
+    return center(raw, scale=spec.scale), source
 
 
 def emit_trace(result: SolverResult, path) -> None:
@@ -427,6 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ufcm",
         description="Unsupervised feature selection experiment runner.",
+        # An omitted option takes ExperimentSpec's default.
+        argument_default=argparse.SUPPRESS,
     )
     src = parser.add_argument_group("data source (exactly one)")
     src.add_argument("--input", help="samples-as-rows CSV file")
@@ -448,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
             f"--grid-{name}",
             type=_comma_floats,
             nargs="?",
-            default=[1.0],
             const=_comma_floats(bare),
             help=f"value or comma list (default: 1; bare: {bare})",
         )
@@ -466,18 +451,18 @@ def build_parser() -> argparse.ArgumentParser:
         type=_comma_ints,
         help="comma list of selected-feature counts (default: all features)",
     )
-    parser.add_argument("--restarts", type=int, default=SolverConfig.r)
-    parser.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-    parser.add_argument("--tol", type=float, default=SolverConfig.tol)
-    parser.add_argument("--seed", type=int, default=SolverConfig.seed)
-    parser.add_argument("--eval-runs", type=int, default=5)
+    parser.add_argument("--restarts", type=int)
+    parser.add_argument("--max-iter", type=int)
+    parser.add_argument("--tol", type=float)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--eval-runs", type=int)
     parser.add_argument(
         "--scale",
         action="store_true",
         help="scale features to unit variance after centering",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, help="must be 1 (kept for old scripts)"
+        "--jobs", type=int, help="must be 1 (kept for old scripts)"
     )
     parser.add_argument("--out", required=True, help="output directory")
     return parser

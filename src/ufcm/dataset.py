@@ -87,18 +87,28 @@ class DataMatrix:
         return self.values.shape[1]
 
 
-def center(data: DataMatrix) -> DataMatrix:
-    """Subtract the per-feature sample mean.
+def center(data: DataMatrix, scale: bool = False) -> DataMatrix:
+    """Subtract the per-feature sample mean and, with `scale`, divide by
+    each feature's std (1 for a constant feature) and center again.
 
-    Returns the centered matrix with names and labels carried over; its
-    values are the one d x n array the subtraction makes, not a copy.
-    Idempotent up to floating-point residue.
+    `scale` is the CLI's ``--scale``. The paper's abstract fixes no
+    preprocessing, but the objective is not scale-invariant: scaling to
+    unit variance changes which features are selected. The second
+    centering is needed because dividing by a tiny std scales the first
+    one's residue up past `solve`'s centering check.
+
+    Returns the matrix with names and labels carried over; its values are
+    the one d x n array the subtraction makes, updated in place, not a
+    copy. Idempotent up to floating-point residue.
     """
-    mean = data.values.mean(axis=1)
+    values = data.values - data.values.mean(axis=1)[:, None]
+    if scale:
+        std = values.std(axis=1)
+        std[std == 0.0] = 1.0
+        values /= std[:, None]
+        values -= values.mean(axis=1)[:, None]
     return DataMatrix(
-        data.values - mean[:, None],
-        feature_names=data.feature_names,
-        labels=data.labels,
+        values, feature_names=data.feature_names, labels=data.labels
     )
 
 

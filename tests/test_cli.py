@@ -1,10 +1,10 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
 import json
 import logging
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,7 +13,6 @@ import pytest
 from ufcm.cli import (
     ExperimentSpec,
     UsageError,
-    _prepare,
     build_parser,
     emit_trace,
     load_record,
@@ -365,25 +364,26 @@ def test_scale_gives_centered_unit_variance_features(tmp_path, monkeypatch):
     assert record["preprocessing"] == {"centered": True, "unit_variance": True}
 
 
-def test_scale_makes_one_array_with_the_bits_of_center_scale_center():
-    rng = np.random.default_rng(4)
-    values = rng.normal(loc=3.0, size=(200, 500))
-    values[7] = 2.5  # constant: its std of 0 divides as 1
-    values[9] = 1e6 + 1e-6 * rng.normal(size=500)
-    data = DataMatrix(values)
-    centered = center(data)
-    std = centered.values.std(axis=1)
-    std[std == 0.0] = 1.0
-    want = center(DataMatrix(centered.values / std[:, None])).values
-    tracemalloc.start()
-    try:
-        got = _prepare(data, scale=True).values
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(got, want)
-    # The result, and the d x n temporary inside `np.std`.
-    assert peak < 2.5 * got.nbytes
+@pytest.mark.parametrize("scale", [False, True])
+def test_the_cli_centers_through_one_traced_name(tmp_path, monkeypatch, scale):
+    # perfbench's `dataset.center` span wraps `ufcm.cli.center`, so a
+    # scaled run must reach it too.
+    calls = []
+
+    def spy(data, scale=False):
+        calls.append(scale)
+        return center(data, scale=scale)
+
+    monkeypatch.setattr("ufcm.cli.center", spy)
+    argv = [
+        "--synthetic", BLOBS,
+        "--clusters", "3",
+        "--select", "3",
+        "--max-iter", "2",
+        "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv + ["--scale"] * scale) == 0
+    assert calls == [scale]
 
 
 def test_unlabeled_csv_skips_evaluation(tmp_path):
@@ -443,6 +443,14 @@ def test_bad_synthetic_spec_is_usage_error(tmp_path):
     ):
         argv = ["--synthetic", spec, "--clusters", "2"]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2, spec
+
+
+def test_a_repeated_synthetic_key_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["--synthetic", BLOBS + ",c=2", "--clusters", "2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "synthetic parameter 'c' given twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_select_beyond_feature_count_is_usage_error_before_solving(
@@ -618,12 +626,18 @@ def test_each_grid_point_logs_one_debug_line(tmp_path, caplog, capsys):
 
 
 def test_parser_dests_are_the_spec_fields():
-    # `main` builds the spec from every parsed argument by keyword.
-    args = build_parser().parse_args(
+    # `main` builds the spec from every parsed argument by keyword, and an
+    # omitted option is left out, so the spec's own default applies.
+    parser = build_parser()
+    dests = {a.dest for a in parser._actions if a.dest != "help"}
+    assert dests == {f.name for f in dataclasses.fields(ExperimentSpec)}
+    assert {a.default for a in parser._actions} == {argparse.SUPPRESS}
+    args = parser.parse_args(
         ["--synthetic", BLOBS, "--clusters", "3", "--out", "o"]
     )
-    fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
-    assert set(vars(args)) == fields
+    assert ExperimentSpec(**vars(args)) == ExperimentSpec(
+        out="o", clusters=3, synthetic=BLOBS
+    )
 
 
 @pytest.mark.parametrize("flag", ["--alpha", "--grid-alpha"])

@@ -16,6 +16,7 @@ from ufcm.dataset import (
     load_csv,
     make_blobs,
 )
+from ufcm.linalg import require_centered
 
 
 def test_datamatrix_shape_and_orientation():
@@ -326,6 +327,30 @@ def test_center_allocates_one_d_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * centered.values.nbytes
+
+
+def test_scale_makes_one_array_with_the_bits_of_center_scale_center():
+    rng = np.random.default_rng(4)
+    values = rng.normal(loc=3.0, size=(200, 500))
+    values[7] = 2.5  # constant: its std of 0 divides as 1
+    values[9] = 1e6 + 1e-6 * rng.normal(size=500)
+    data = DataMatrix(values)
+    centered = center(data)
+    std = centered.values.std(axis=1)
+    std[std == 0.0] = 1.0
+    want = center(DataMatrix(centered.values / std[:, None])).values
+    tracemalloc.start()
+    try:
+        got = center(data, scale=True).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    # The result, and the d x n temporary inside `np.std`.
+    assert peak < 2.5 * got.nbytes
+    # Feature 9's std near 1e-6 scales the first centering's residue up:
+    # the second centering is what brings it back under the check.
+    require_centered(got)
 
 
 def test_center_keeps_labels():
