@@ -15,7 +15,7 @@ unsupervised user. Grid points run one after another in grid order.
 The grid is the product of the solver hyperparameters, alpha-major. Each
 takes one value or a comma list under either of two spellings of one
 option; a bare flag gives that option's bare grid, and of repeated flags
-the last wins:
+the last wins. The defaults are `ExperimentSpec`'s:
 
     option                   value                  default  bare grid
     --alpha / --grid-alpha   margin weight, > 0     1        1e-3,1e-1,1e1,1e3
@@ -428,14 +428,20 @@ def build_parser() -> argparse.ArgumentParser:
         type=_label_column,
         help="CSV column with ground-truth labels (name or 0-based index)",
     )
+    defaults = {
+        f.name: f.default_factory()
+        for f in fields(ExperimentSpec)
+        if f.name in BARE_GRIDS
+    }
     for name, bare in BARE_GRIDS.items():
+        default = ",".join(f"{v:g}" for v in defaults[name])
         parser.add_argument(
             f"--{name}",
             f"--grid-{name}",
             type=_comma_floats,
             nargs="?",
             const=_comma_floats(bare),
-            help=f"value or comma list (default: 1; bare: {bare})",
+            help=f"value or comma list (default: {default}; bare: {bare})",
         )
     parser.add_argument("--clusters", type=int, required=True)
     parser.add_argument(

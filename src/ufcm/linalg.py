@@ -3,7 +3,7 @@
 Pure functions on ndarrays; the typed containers from `dataset` are peeled
 off by callers.
 
-Two ways to the top-k eigenpairs of a symmetric matrix:
+Three ways to the top-k eigenpairs of a symmetric matrix:
 
 - `sym_eig_top`: a full `np.linalg.eigh` of the dense matrix, O(d^3) time
   and d^2 memory, whatever k is.
@@ -19,6 +19,12 @@ Two ways to the top-k eigenpairs of a symmetric matrix:
   restarted loop to converge by its step cap, the basis stops restarting
   and grows to at most 65 k columns instead; where it falls too slowly
   for that too, the loop stops once that basis is full.
+- `secular_start`: for A = S S^T - diag(delta) with a thin (d, c) S and
+  k <= c, the top-k eigenpairs from the roots of the c x c secular
+  equation of a diagonal plus a low-rank term (the modified eigenproblem
+  of Golub 1973 and Bunch, Nielsen & Sorensen 1978), at O(d c^2) per
+  evaluation. It returns a start for `block_krylov_top`, whose first
+  check then certifies the pairs.
 
 `gram_eig_top` gives the top k <= d eigenpairs of X X^T for a (d, n) X
 with d > n from the n x n product X^T X, without forming the d x d one.
@@ -44,6 +50,9 @@ _MAX_GAP = 16          # most block steps between two later checks
 _DEFLATE = 1e-12       # new directions below this share of the block drop
 _RENORM = 1e-4         # below this share, re-normalise a new block
 _RESTART_WIDTH = 20    # basis columns, in multiples of k, to restart past
+_EPS = float(np.finfo(np.float64).eps)
+_SECULAR_EVALS = 100   # most secular-matrix evaluations per root
+_NEWTON_CLOSE = 1e-8   # Newton steps below this share of the pole gap end
 
 
 @dataclass
@@ -414,3 +423,121 @@ def _rayleigh_ritz(
         theta[:k].copy(), fix_signs(vectors), residual, 0, 0, converged
     )
     return pairs, excess, (theta, y)
+
+
+def secular_start(
+    scaled: np.ndarray, delta: np.ndarray, w_prev: np.ndarray
+) -> np.ndarray:
+    """A start for `block_krylov_top` on A = S S^T - diag(delta) that holds
+    A's top-k eigenvectors, from the roots of a c x c secular equation.
+
+    S = `scaled` is (d, c), `delta` is (d,) and `w_prev` is (d, k) with
+    orthonormal columns, k <= c. A is a diagonal plus a term of rank at
+    most c, so an eigenvalue lambda of A off the poles -delta_i is a
+    sigma where K(sigma) = S^T (diag(delta) + sigma I)^-1 S has the
+    eigenvalue 1, and (diag(delta) + sigma I)^-1 S z is its eigenvector
+    for K's eigenvector z (Golub 1973; Bunch, Nielsen & Sorensen 1978).
+    Sylvester's inertia on the Schur complements of
+    [[-(diag(delta) + sigma I), S], [S^T, -I]] counts A's eigenvalues
+    above sigma: #{i : delta_i < -sigma} plus K(sigma)'s eigenvalues
+    above 1, at O(d c^2) per sigma. Each lambda_j, largest first, is found
+    in four steps:
+
+    1. Weyl's inequality brackets it: -delta_(j) <= lambda_j <=
+       min over i <= j of sigma_i(S)^2 - delta_(j-i+1), with delta
+       ascending, and lambda_j <= lambda_(j-1).
+    2. The bracket is halved on the count until no pole lies in it.
+    3. On that pole-free bracket the branch of K that crosses 1 is smooth
+       and falls with slope -||(diag(delta) + sigma I)^-1 S z||^2;
+       safeguarded Newton steps on it stop one evaluation after a step
+       below `_NEWTON_CLOSE` of the distance to the nearest pole, which
+       lands within round-off.
+    4. The eigenvector follows from z at that root.
+
+    The start is the top-k Ritz vectors of A on span[W_prev, V], for the
+    eigenvectors V found. W_prev lies in that span, so the start's
+    Tr(W^T A W) is never below W_prev's, however accurate the roots are.
+    A root on a pole (a tied delta, as rows floored to one weight give,
+    or a zero row of S) has no vector of this form: the roots stop there,
+    and the Krylov loop finds the rest. With no root found (S = 0), the
+    start is `w_prev` itself.
+    """
+    k = w_prev.shape[1]
+    order = np.sort(delta)
+    sig2 = np.maximum(np.linalg.eigvalsh(scaled.T @ scaled)[::-1], 0.0)
+    found, top = [], np.inf
+    for j in range(k):
+        hi = min(top, *(sig2[i] - order[j - i] for i in range(j + 1)))
+        root = _secular_root(scaled, delta, order, j + 1, -order[j], hi)
+        if root is None:
+            break
+        vector, top = root
+        found.append(vector)
+    if not found:
+        return w_prev
+    basis, _ = np.linalg.qr(np.column_stack([w_prev, *found]))
+    t = basis.T @ (scaled @ (scaled.T @ basis) - delta[:, None] * basis)
+    _, y = np.linalg.eigh((t + t.T) / 2)
+    return basis @ y[:, ::-1][:, :k]
+
+
+def _secular_root(scaled, delta, order, j: int, a: float, b: float):
+    """(v, b) for the j-th largest eigenvalue lambda_j of S S^T -
+    diag(delta), given a <= lambda_j <= b and `order`, `delta` sorted
+    ascending: v an unnormalised eigenvector, b >= lambda_j the bracket's
+    upper end. None when lambda_j lies on a pole -delta_i or the root is
+    not found within `_SECULAR_EVALS` evaluations. See `secular_start`."""
+    c = scaled.shape[1]
+
+    def tiny(a, b):  # a few ulps of the bracket's ends
+        return 4 * _EPS * max(abs(a), abs(b))
+
+    evals = 0
+    while np.searchsorted(order, -a, "right") > np.searchsorted(order, -b):
+        if b - a <= tiny(a, b) or evals == _SECULAR_EVALS:
+            return None
+        mid = 0.5 * (a + b)
+        above = int(np.searchsorted(order, -mid))  # poles above mid
+        if above < len(order) and order[above] == -mid:
+            mid = np.nextafter(mid, b)  # on a pole: step off it
+        mu, _, _ = _secular(scaled, delta, mid)
+        evals += 1
+        if above + np.count_nonzero(mu > 1) >= j:
+            a = mid
+        else:
+            b = mid
+    # On [a, b], the poles above number those above b; K's eigenvalue that
+    # crosses 1 at lambda_j is the one with j - 1 of theirs above it.
+    branch = c - j + int(np.searchsorted(order, -b))
+    if not 0 <= branch < c:
+        return None
+    sigma, close = 0.5 * (a + b), False
+    while evals < _SECULAR_EVALS:
+        mu, z, t = _secular(scaled, delta, sigma)
+        evals += 1
+        v = t @ z[:, branch]
+        if close:
+            return v, b
+        if mu[branch] > 1:
+            a = sigma
+        else:
+            b = sigma
+        slope = float(v @ v)
+        new = sigma + (mu[branch] - 1) / slope if slope > 0 else b
+        if a < new < b:
+            gap = float(np.abs(delta + sigma).min())  # to the nearest pole
+            close = abs(new - sigma) <= _NEWTON_CLOSE * gap
+        elif b - a <= tiny(a, b):
+            return v, b
+        else:
+            new = 0.5 * (a + b)
+        sigma = new
+    return None
+
+
+def _secular(scaled, delta, sigma: float):
+    """Eigenvalues (ascending) and eigenvectors of K(sigma) = S^T
+    (diag(delta) + sigma I)^-1 S, and (diag(delta) + sigma I)^-1 S."""
+    t = scaled / (delta + sigma)[:, None]
+    mu, z = np.linalg.eigh(scaled.T @ t)
+    return mu, z, t

@@ -22,7 +22,9 @@ shape of the (d, n) input, d' and what happened earlier in the solve:
   basis warm-started at the previous W (`linalg.block_krylov_top`, which
   checks the pairs at steps extrapolated from the residual's rate of
   fall, and thick-restarts the basis to keep it small), applying M to
-  thin (d, b) blocks.
+  thin (d, b) blocks. At alpha = 1 (beta > 0, d' <= c) the start also
+  holds the eigenvectors from M's c x c secular equation
+  (`linalg.secular_start`), and the loop's first check converges.
   - d > n (matrix-free): no X X^T is held. M applies through the (d, n)
     data at O(d (n + c) b), or O(d c b) at alpha = 1. The PCA init maps
     the top eigenvectors of the n x n X^T X through X
@@ -80,11 +82,14 @@ bits, up to the sign of an exact zero.
 
 The switch point d = n for holding X X^T is where the d x d problem stops
 being smaller than the data. No benchmark workload has d > n with d near
-n or d small. Single-process solves of seeded blobs (4 outer iterations,
-2 vCPUs, each path forced, quartiles of 9) put the matrix-free path behind
-only at the shape nearest d = n: 300 x 250 took 89-94-100 ms dense and
-98-109-114 ms matrix-free, 800 x 700 597-608-660 and 432-441-485 ms, and
-400 x 80 111-113-125 and 59-62-65 ms.
+n or d small. Single-process alpha = 1 solves of seeded blobs (c = d' =
+4, beta = p = 1, 4 outer iterations, 2 vCPUs, each path forced, quartiles
+of 9) put the matrix-free path ahead at every shape, its W steps taking
+no block step: 300 x 250 took 23-24-34 ms matrix-free, 26-28-33 ms on the
+loop through the held X X^T and 59-72-75 ms with a dense eigh of M;
+800 x 700 81-84-85, 92-96-98 and 333-350-395 ms; 400 x 80 14-15-15,
+23-24-24 and 65-66-66 ms. Without the secular start, 300 x 250 took
+42-43-48, 32-42-43 and 48-48-50 ms.
 
 The previous W lies in the first Krylov basis, and each thick restart
 keeps the top d' Ritz vectors of the basis it replaces, so the Ritz W has
@@ -93,8 +98,10 @@ stays an ascent step and the objective stays monotone whatever the
 tolerance. The Ritz vectors match the dense eigenvectors to the Krylov
 tolerance, not to round-off (subspaces within about 1e-9 on blob inputs),
 so on a Krylov shape the results differ slightly from the dense path's on
-the same input. Each path is bit-reproducible on its own at a given BLAS
-thread count (see `solve`).
+the same input. The alpha = 1 W steps that start from the secular roots
+are the exception: their Ritz vectors match the dense eigenvectors to
+round-off (subspaces within about 1e-12 on blob inputs). Each path is
+bit-reproducible on its own at a given BLAS thread count (see `solve`).
 
 Input X must be centered (features-by-samples); use `dataset.center` first.
 Labels never enter: `solve` takes a bare ndarray.
@@ -127,6 +134,7 @@ from .linalg import (
     gram_eig_top,
     require_centered,
     require_real,
+    secular_start,
     sym_eig_top,
 )
 from .metrics import accuracy
@@ -389,11 +397,26 @@ def update_w(
     with the loop's reason in `stop`). When M holds X X^T, its dense form
     needs no product with X, so the loop also gives up as soon as its
     residual stops falling between two checks ("stall").
+
+    At alpha = 1, M = S S^T - beta D is a diagonal plus a term of rank at
+    most c - 1 (X is centered, so S's columns, weighted by sqrt(n_k), sum
+    to 0). With beta > 0 and d' <= c, the loop then starts from
+    `linalg.secular_start`: the top d' Ritz vectors of M on the previous
+    W and the eigenvectors that M's c x c secular equation gives. That
+    start holds the top d' eigenvectors to round-off, so the loop's first
+    check converges after 0 block steps, and the check and `top_floor`
+    still certify it. The start is skipped at beta = 0, where every pole
+    -beta D_i sits at 0, and for d' > c, where the d'-th eigenvalue lies
+    deep among the poles. Where a root lies on a pole (tied D), the
+    start holds the eigenvectors above it, and the loop runs on from
+    there.
     """
     if start is None:
         return sym_eig_top(m.dense(), d_prime)
     if start.shape[1] != d_prime:
         raise ValueError("the Krylov W step needs a (d, d') start")
+    if m.alpha == 1.0 and m.beta > 0.0 and d_prime <= m.scaled.shape[1]:
+        start = secular_start(m.scaled, m.beta * m.d_diag, start)
     ritz = block_krylov_top(m.__matmul__, start, stall=m.gram is not None)
     slack = ritz.residual * float(np.abs(ritz.values).max())
     if ritz.converged:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 import weakref
 
 import numpy as np
@@ -20,7 +21,7 @@ from ufcm.cli import (
     run_experiment,
 )
 from conftest import write_csv
-from ufcm import solver
+from ufcm import cli, solver
 from ufcm.dataset import DataMatrix, center, load_csv, make_blobs
 from ufcm.solver import SolverConfig, SolverTrace, solve
 
@@ -638,6 +639,28 @@ def test_parser_dests_are_the_spec_fields():
     assert ExperimentSpec(**vars(args)) == ExperimentSpec(
         out="o", clusters=3, synthetic=BLOBS
     )
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "p"])
+def test_help_and_docstring_state_the_spec_defaults(name):
+    # The spec's field is the only copy of the default: --help formats it,
+    # and the module docstring's option table must agree with it.
+    spec = ExperimentSpec(out="o", clusters=3, synthetic=BLOBS)
+    want = getattr(spec, name)
+    (action,) = [
+        a for a in build_parser()._actions if f"--{name}" in a.option_strings
+    ]
+    shown = re.fullmatch(r".*\(default: ([^;]+); bare: (.+)\)", action.help)
+    assert [float(v) for v in shown.group(1).split(",")] == want
+    assert shown.group(2) == cli.BARE_GRIDS[name]
+    (row,) = [
+        line.strip()
+        for line in cli.__doc__.splitlines()
+        if line.strip().startswith(f"--{name} / --grid-{name}")
+    ]
+    _, _, default, bare = re.split(r"\s{2,}", row)
+    assert [float(v) for v in default.split(",")] == want
+    assert bare == cli.BARE_GRIDS[name]
 
 
 @pytest.mark.parametrize("flag", ["--alpha", "--grid-alpha"])

@@ -1,8 +1,10 @@
 """The Krylov W step: block Krylov Ritz pairs against the dense eigensolve,
 ascent by construction, the dense fallback, rank-deficient and zero-row
-inputs, and the memory it saves. It runs matrix-free when d > n, and on M
-through the held X X^T when n >= d > 65 d'."""
+inputs, the alpha = 1 start from the secular roots, and the memory it
+saves. It runs matrix-free when d > n, and on M through the held X X^T
+when n >= d > 65 d'."""
 
+import hashlib
 import logging
 import tracemalloc
 
@@ -12,8 +14,14 @@ import pytest
 from ufcm import linalg, solver
 from ufcm.dataset import center, make_blobs
 from ufcm.kmeans import run_kmeans
-from ufcm.linalg import block_krylov_top, gram_eig_top, sym_eig_top
+from ufcm.linalg import (
+    block_krylov_top,
+    gram_eig_top,
+    secular_start,
+    sym_eig_top,
+)
 from ufcm.solver import (
+    EPS_ROW,
     MOperator,
     SolverConfig,
     build_m,
@@ -86,6 +94,154 @@ def test_krylov_agrees_with_dense_eigh_on_the_dense_shape_ladder(
     )
     v, u = ritz.vectors, dense.vectors
     assert np.linalg.norm(v - u @ (u.T @ v), 2) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "shape", [(1200, 200), (600, 50), (300, 40), (300, 400)]
+)
+def test_the_secular_start_gives_the_dense_eigenpairs_at_alpha_one(shape):
+    # M = S S^T - beta D at d' = c = 4: the start holds its top d'
+    # eigenvectors to round-off, so the loop's first check converges with
+    # no block step, matrix-free for d > n and on the held X X^T for the
+    # d <= n shape above 65 d'.
+    d, n = shape
+    if d > n:
+        op, start = first_w_step(d, n, 4)
+    else:
+        op, start = dense_shape_w_step(blobs(d, n, seed=4), 1.0, 1.0, 4)
+    got = update_w(op, 4, start)
+    dense = sym_eig_top(op.dense(), 4)
+    assert (got.path, got.steps, got.checks) == ("krylov", 0, 1)
+    scale = np.abs(dense.values).max()
+    assert np.abs(got.values - dense.values).max() <= 1e-12 * scale
+    v, u = got.vectors, dense.vectors
+    assert np.linalg.norm(v - u @ (u.T @ v), 2) <= 1e-10
+    assert np.linalg.norm(v.T @ v - np.eye(4)) <= 1e-12
+
+
+def trace_of(op, w):
+    return float(np.einsum("ij,ij->", w, op @ w))
+
+
+def test_the_secular_start_raises_the_trace_of_a_poor_w_prev():
+    op, _ = first_w_step(1200, 200, 4)
+    poor, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(1200, 4)))
+    got = secular_start(op.scaled, op.beta * op.d_diag, poor)
+    best = sym_eig_top(op.dense(), 4).values.sum()
+    assert trace_of(op, poor) < trace_of(op, got)
+    assert abs(trace_of(op, got) - best) <= 1e-12 * abs(best)
+    assert np.linalg.norm(got.T @ got - np.eye(4)) <= 1e-12
+
+
+def test_the_secular_start_keeps_w_prev_in_its_span(monkeypatch):
+    # Roots spoilt into random vectors: the Ritz vectors of span[W_prev,
+    # V] still have at least W_prev's trace.
+    op, good = first_w_step(1200, 200, 4)
+    rng = np.random.default_rng(1)
+    monkeypatch.setattr(
+        linalg,
+        "_secular_root",
+        lambda s, delta, order, j, a, b: (rng.normal(size=s.shape[0]), b),
+    )
+    got = secular_start(op.scaled, op.beta * op.d_diag, good)
+    before = trace_of(op, good)
+    assert trace_of(op, got) >= before - 1e-12 * abs(before)
+    assert np.linalg.norm(got.T @ got - np.eye(4)) <= 1e-12
+
+
+def test_a_root_on_a_repeated_pole_leaves_the_rest_to_the_loop(monkeypatch):
+    # delta = 1 everywhere: M = S S^T - I has its top c - 1 eigenvalues
+    # above the pole -1 and the c-th on it, d - c + 1 times over. The roots
+    # stop there; the Ritz vector W_prev adds is orthogonal to range(S),
+    # so an eigenvector for -1, and the loop converges at its first check.
+    rng = np.random.default_rng(0)
+    d, c = 200, 4
+    s = rng.normal(size=(d, c))
+    s[:, -1] = -s[:, :-1].sum(axis=1)
+    a = s @ s.T - np.eye(d)
+    w, _ = np.linalg.qr(rng.normal(size=(d, c)))
+    found = []
+    root = linalg._secular_root
+
+    def spy(*args):
+        out = root(*args)
+        found.append(out is not None)
+        return out
+
+    monkeypatch.setattr(linalg, "_secular_root", spy)
+    start = secular_start(s, np.ones(d), w)
+    assert found == [True, True, True, False]
+    ritz = block_krylov_top(lambda v: a @ v, start)
+    assert (ritz.converged, ritz.steps) == (True, 0)
+    want = np.linalg.eigvalsh(a)[::-1][:c]
+    assert np.abs(ritz.values - want).max() <= 1e-12 * want[0]
+
+
+def test_an_alpha_one_solve_with_tied_row_weights_stays_monotone():
+    # beta = 1000 floors most rows of W at EPS_ROW, so their D ties, and
+    # the rows that stay meet D near 1/2: the last roots sit among nearly
+    # tied poles, where the loop runs on from the start.
+    x = blobs(300, 40)
+    cfg = SolverConfig(alpha=1.0, beta=1000.0, p=1.0, c=4, max_iter=8)
+    res = check_solve(x, cfg)
+    assert (np.linalg.norm(res.w, axis=1) <= EPS_ROW).sum() > 250
+    assert res.trace.eig_steps[1] == 0
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5])
+def test_a_zero_row_of_x_with_the_secular_start(p):
+    # The zero row of X is a zero row of S: its pole -beta D_7 holds an
+    # eigenvector e_7 that no secular root gives, far below the top d'.
+    x = centered_normal(1, 300, 20)
+    x[7] = 0.0
+    res = check_solve(
+        x, SolverConfig(alpha=1.0, beta=1.0, p=p, c=3, max_iter=6)
+    )
+    assert set(res.trace.eig_path[1:]) == {"krylov"}
+    assert set(res.trace.eig_steps[1:]) == {0}
+    assert np.abs(res.w[7]).max() <= 1e-12
+
+
+def digest(res) -> tuple[str, str]:
+    return (
+        hashlib.sha256(res.w.tobytes()).hexdigest(),
+        hashlib.sha256(res.u.assignments.tobytes()).hexdigest(),
+    )
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, d_prime, used",
+    [
+        (1.0, 0.0, 4, False),  # every pole at 0
+        (1.0, 1.0, 5, False),  # d' > c
+        (0.5, 1.0, 4, False),  # an X X^T term
+        (1.0, 1.0, 4, True),
+    ],
+)
+def test_w_steps_without_the_secular_start_keep_their_bits(
+    alpha, beta, d_prime, used, monkeypatch
+):
+    # Where the start does not apply, the loop starts from W_prev itself,
+    # so W and U keep the bits of a solve that never had the start.
+    x = blobs(300, 40)
+    cfg = SolverConfig(
+        alpha=alpha, beta=beta, p=1.0, c=4, d_prime=d_prime, max_iter=3
+    )
+    calls = []
+
+    def spy(scaled, delta, w_prev):
+        calls.append(1)
+        return secular_start(scaled, delta, w_prev)
+
+    monkeypatch.setattr(solver, "secular_start", spy)
+    res = solve(x, cfg)
+    assert len(calls) == (res.iterations if used else 0)
+    monkeypatch.setattr(solver, "secular_start", lambda s, d, w: w)
+    without = solve(x, cfg)
+    assert (digest(res)[0] == digest(without)[0]) is not used
+    if not used:
+        assert digest(res) == digest(without)
+        assert vars(res.trace) == vars(without.trace)
 
 
 def test_a_stalled_dense_shape_w_step_falls_back_once(caplog):
@@ -569,7 +725,8 @@ def test_solve_records_the_dense_fallback():
 
 def test_matrix_free_solve_holds_no_d_by_d_array():
     # The dense path holds X X^T, M and the projector term, each 8 d^2
-    # bytes; the matrix-free path stays below one of them.
+    # bytes; the matrix-free path stays below one of them. At alpha = 1
+    # each W step starts from the secular roots and takes no block step.
     x = blobs(1200, 200)
     cfg = SolverConfig(alpha=1.0, beta=1.0, p=1.0, c=4, max_iter=3)
     tracemalloc.start()
@@ -579,18 +736,21 @@ def test_matrix_free_solve_holds_no_d_by_d_array():
     finally:
         tracemalloc.stop()
     assert res.trace.eig_path[1:] == ["krylov"] * 3
-    assert min(res.trace.eig_restarts[1:]) > 0
-    assert res.trace.eig_restarts[0] == 0
+    assert res.trace.eig_steps[1:] == [0, 0, 0]
     assert peak < 8 * 1200**2
 
 
 def test_ritz_checks_follow_the_residual_not_a_fixed_gap():
-    # A check every 4 block steps would make steps // 4 + 1 of them.
+    # A check every 4 block steps would make steps // 4 + 1 of them. At
+    # alpha = 0.5 no secular start applies: each W step converges on the
+    # restarted loop.
     x = blobs(1200, 200)
-    res = solve(x, SolverConfig(alpha=1.0, beta=1.0, p=1.0, c=4, max_iter=3))
+    res = solve(x, SolverConfig(alpha=0.5, beta=1.0, p=1.0, c=4, max_iter=3))
     tr = res.trace
     assert tr.eig_checks[0] == 0
     assert tr.eig_path[1:] == ["krylov"] * 3
+    assert min(tr.eig_restarts[1:]) > 0
+    assert tr.eig_restarts[0] == 0
     for steps, checks in zip(tr.eig_steps[1:], tr.eig_checks[1:]):
         assert 2 <= checks < steps // 4 + 1
 
