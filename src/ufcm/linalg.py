@@ -16,9 +16,7 @@ Three ways to the top-k eigenpairs of a symmetric matrix:
   top quarter of its Ritz vectors replace it, and the loop goes on from
   the newest block. The kept vectors hold the best k found so far, so no
   restart lowers the trace. Where the residual falls too slowly for the
-  restarted loop to converge by its step cap, the basis stops restarting
-  and grows to at most 65 k columns instead; where it falls too slowly
-  for that too, the loop stops once that basis is full.
+  restarted loop to converge by its step cap, the loop stops there.
 - `secular_start`: for A = S S^T - diag(delta) with a thin (d, c) S and
   k <= c, the top-k eigenpairs from the roots of the c x c secular
   equation of a diagonal plus a low-rank term (the modified eigenproblem
@@ -42,7 +40,6 @@ import numpy as np
 
 KRYLOV_TOL = 1e-11     # relative Ritz residual at which the loop stops
 KRYLOV_MAX_STEPS = 128  # hard cap on block steps, restarts included
-KRYLOV_MAX_WIDTH = 65   # most basis columns, in multiples of k
 CENTER_TOL = 1e-6      # feature-mean bound, relative to max(1, max |x|)
 _ROUNDOFF = 1e-14      # residual floor, as a share of ||T|| (see below)
 _FIRST_GAP = 4         # block steps to the next check, no rate known
@@ -68,10 +65,12 @@ class EigenPairs:
     decomposition, "krylov" for Ritz pairs of `block_krylov_top`, and
     "krylov-fallback" (set by `solver.update_w`) for a dense decomposition
     taken after a Krylov loop was abandoned, whose steps, checks and
-    restarts are then counted. `stop` names
-    why a Krylov loop stopped short: "step cap", "stall", "invariant
-    basis", "full basis", or "floor" (set by `solver.update_w`); it is
-    empty otherwise. `spectrum` holds every eigenvalue the direct
+    restarts are then counted. `stop` names why a Krylov loop stopped
+    short: "step cap", "stall", "invariant basis", "full basis", or
+    "floor" (set by `solver.update_w`); it is empty otherwise. On
+    "krylov-fallback" pairs it says why the loop was abandoned; on
+    "krylov" pairs (a matrix-free W step kept at "step cap") why they
+    are not converged. `spectrum` holds every eigenvalue the direct
     decomposition computed, descending; None for Ritz pairs.
     """
 
@@ -229,14 +228,8 @@ def block_krylov_top(
     above the next, so each restart first extrapolates the log-residual
     rate over its cycle (the steps since the previous restart, or since
     step 0): if that rate does not bring the residual to its tolerance by
-    the step cap, the loop stops restarting at that width, and the basis
-    grows to `KRYLOV_MAX_WIDTH` (65) k columns. When that basis fills, the
-    same test picks between a restart and a stop at "step cap": a loop whose
-    grown basis cannot reach the tolerance by the cap gives up after
-    about the 64 steps that fill it, not 128. The basis never holds more
-    than min(d, 65 k) columns, as many as 64 unrestarted steps would
-    make; its arrays are allocated at the restart width and widened only
-    when the loop stops restarting there.
+    the step cap, the loop stops there at "step cap" instead of running
+    the cap out.
 
     Checks are paid for only where they are likely to succeed: once the
     basis is large, an `eigh` of T costs more than a block step. The first
@@ -269,8 +262,8 @@ def block_krylov_top(
     `steps` counts block steps over all cycles, `checks` the Rayleigh-Ritz
     projections (one per restart among them) and `restarts` the restarts.
     `converged` is False when the loop stopped short of the tolerance, and
-    `stop` says where: at the step cap (reached, or out of reach from a
-    full basis), at a stall, when the next block
+    `stop` says where: at the step cap (reached, or out of reach at a
+    restart), at a stall, when the next block
     would give the basis d columns ("full basis"), or when the basis became
     invariant first. An invariant basis gives exact eigenpairs, but not
     necessarily the top k: a start confined to an invariant subspace of A
@@ -283,8 +276,7 @@ def block_krylov_top(
     d, k = start.shape
     if not 1 <= k <= d:
         raise ValueError(f"start has {k} columns, out of range [1, {d}]")
-    cols = min(d, KRYLOV_MAX_WIDTH * k)  # the most columns the basis holds
-    limit = min(cols, _RESTART_WIDTH * k)  # the current restart width
+    limit = min(d, _RESTART_WIDTH * k)  # the most columns the basis holds
     q = np.empty((d, limit), order="F")    # orthonormal basis
     aq = np.empty((d, limit), order="F")   # A applied to it
     t = np.empty((limit, limit))
@@ -344,23 +336,18 @@ def block_krylov_top(
         new -= q[:, :hi] @ (q[:, :hi].T @ new)
         if hi + width > limit:
             # This step was checked above. Restart only if the cycle's rate
-            # reaches the tolerance by the step cap; otherwise grow to
-            # `cols` columns, or give up if the basis has them already.
+            # reaches the tolerance by the step cap; otherwise give up.
             rate = (last[1] - cycle[1]) / (steps - cycle[0])
             if rate >= 0 or steps - last[1] / rate > KRYLOV_MAX_STEPS:
-                if limit == cols:
-                    ritz.stop = "step cap"
-                    break
-                limit = cols
-                q, aq, t = _widen(q, aq, t, hi, cols)
-            if hi + width > limit:
-                theta, y = ritz_basis
-                keep = max(k, hi // 4)
-                q[:, :keep] = q[:, :hi] @ y[:, :keep]
-                aq[:, :keep] = aq[:, :hi] @ y[:, :keep]
-                t[:keep, :keep] = np.diag(theta[:keep])
-                hi, cycle = keep, last
-                restarts += 1
+                ritz.stop = "step cap"
+                break
+            theta, y = ritz_basis
+            keep = max(k, hi // 4)
+            q[:, :keep] = q[:, :hi] @ y[:, :keep]
+            aq[:, :keep] = aq[:, :hi] @ y[:, :keep]
+            t[:keep, :keep] = np.diag(theta[:keep])
+            hi, cycle = keep, last
+            restarts += 1
         if s[width - 1] < _RENORM * norm:
             # The second projection takes about eps * norm / s_j off each
             # orthonormal singular vector: too little to move their Gram
@@ -376,19 +363,6 @@ def block_krylov_top(
     ritz.steps, ritz.checks, ritz.restarts = steps, checks, restarts
     ritz.path = "krylov"
     return ritz
-
-
-def _widen(q, aq, t, hi: int, cols: int):
-    """Q, A Q and T moved into arrays of `cols` columns, the first `hi`
-    copied."""
-    d = q.shape[0]
-    wide_q = np.empty((d, cols), order="F")
-    wide_aq = np.empty((d, cols), order="F")
-    wide_t = np.empty((cols, cols))
-    wide_q[:, :hi] = q[:, :hi]
-    wide_aq[:, :hi] = aq[:, :hi]
-    wide_t[:hi, :hi] = t[:hi, :hi]
-    return wide_q, wide_aq, wide_t
 
 
 def _next_check(step: int, log_excess: float, last) -> int:

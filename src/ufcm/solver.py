@@ -29,9 +29,10 @@ shape of the (d, n) input, d' and what happened earlier in the solve:
     data at O(d (n + c) b), or O(d c b) at alpha = 1. The PCA init maps
     the top eigenvectors of the n x n X^T X through X
     (`linalg.gram_eig_top`).
-  - n >= d > `linalg.KRYLOV_MAX_WIDTH` d' = 65 d': M applies through the
-    held X X^T at O(d (d + c) b). The loop's basis never holds more than
-    65 d' columns, so above that width it can never fill R^d.
+  - n >= d > `KRYLOV_MIN_WIDTH` d' = 65 d': M applies through the held
+    X X^T at O(d (d + c) b). The loop's basis restarts at 20 d' columns,
+    far from filling R^d at that width; below it the dense eigh is cheap
+    enough (see the measurements below).
 - dense, otherwise: `sym_eig_top` decomposes the d x d M in full. The PCA
   init decomposes the held X X^T.
 
@@ -40,18 +41,22 @@ init K-means run) depends on X, c, d' and the seed only, so a grid over
 alpha, beta and p builds it once (`build_start`).
 
 A Krylov W step falls back to the dense eigh of M ("krylov-fallback") when
-the loop stops short of its tolerance (the step cap, reached or out of
-reach once its grown basis is full; an invariant basis; or a basis that
-would fill R^d), or when its Ritz values fall below a lower
-bound on M's top d' eigenvalues (`MOperator.top_floor`, Weyl's inequality
-on the X X^T eigenvalues that the start's eigh returned). On the
-d <= n shape, forming M needs no product with X, so the loop also stops
-as soon as its residual fails to fall between two checks ("stall"), and
-after one fallback the rest of the solve is dense. The d > n shape keeps
-trying Krylov each W step and has no stall stop: there a fallback forms
-the d x d X X^T. With a stall stop, a 1200 x 200 solve (benchmark seed
-402) stalled on its third W step, and the process's peak resident memory
-rose from 50 to 109 MB.
+the loop stops short of its tolerance (an invariant basis, a basis that
+would fill R^d, or, on d <= n only, the step cap, reached or out of reach
+at a restart), or when its Ritz values fall below a lower bound on M's
+top d' eigenvalues (`MOperator.top_floor`, Weyl's inequality on the X X^T
+eigenvalues that the start's eigh returned). On the d <= n shape, forming
+M needs no product with X, so the loop also stops as soon as its residual
+fails to fall between two checks ("stall"), and after one fallback the
+rest of the solve is dense. On the d > n shape a fallback forms the d x d
+X X^T, so a loop that stops at the step cap keeps its Ritz W instead (path
+"krylov", `eig_stop` "step cap"); it has no stall stop, and after a
+fallback the next W step tries Krylov again. A kept W is an ascent step
+(see below), but the solve may take more outer iterations: a 400 x 60
+input at alpha = 10 and library defaults took 11 against 9 with exact W
+steps, and ended 6e-5 below their J. With a stall stop, a 1200 x 200
+solve (benchmark seed 402) stalled on its third W step, and the process's
+peak resident memory rose from 50 to 109 MB.
 
 Why these rules, from single-process first W steps on the benchmark's
 blob generator (c = 5, beta = p = 1, seeds 101-106, shapes 800 x 1500,
@@ -61,13 +66,13 @@ blob generator (c = 5, beta = p = 1, seeds 101-106, shapes 800 x 1500,
   first W steps; the stall stop falls back after those 4 steps, before
   the loop's first restart at step 19.
 - alpha = 2: the residual keeps falling, slowly, so the loop does not
-  stall. It falls back after 79 steps on 800 x 1500 (seeds 1, 2 and 7),
-  when its grown basis fills at a rate that misses the step cap.
+  stall. It falls back after 34 steps on 800 x 1500 (seeds 1, 2 and 7):
+  one restart, then a cycle whose rate misses the step cap.
 - alpha = 0.1: the stall stop misfired on 3 of 54 W steps, costing speed
   only; the dense eigh it falls back to is exact.
 - 200 x 5000 at d' = 10 (d = 20 d'), forced onto the Krylov loop: its W
-  steps took 44 ms per solve against 20 ms dense (medians of 9 solves).
-  Below 65 d' the basis can fill R^d, so those shapes stay dense.
+  steps took 44 ms per solve against 20 ms dense (medians of 9 solves),
+  so shapes up to 65 d' stay dense.
 - after a fallback on d <= n, the rest of the solve is dense. Without
   that rule, every later alpha = 10 W step on 800 x 1500 (seeds 1-6, one
   shared start, 3 iterations, 1 BLAS thread, min of 3 solves) ran its
@@ -95,13 +100,15 @@ The previous W lies in the first Krylov basis, and each thick restart
 keeps the top d' Ritz vectors of the basis it replaces, so the Ritz W has
 Tr(W^T M W) >= Tr(W_prev^T M W_prev) wherever the loop stops: the W step
 stays an ascent step and the objective stays monotone whatever the
-tolerance. The Ritz vectors match the dense eigenvectors to the Krylov
-tolerance, not to round-off (subspaces within about 1e-9 on blob inputs),
-so on a Krylov shape the results differ slightly from the dense path's on
-the same input. The alpha = 1 W steps that start from the secular roots
-are the exception: their Ritz vectors match the dense eigenvectors to
-round-off (subspaces within about 1e-12 on blob inputs). Each path is
-bit-reproducible on its own at a given BLAS thread count (see `solve`).
+tolerance, a kept step-cap W included (the argument of the generalized
+power iteration; Nie, Zhang & Li 2017). A converged loop's Ritz vectors
+match the dense eigenvectors to the Krylov tolerance, not to round-off
+(subspaces within about 1e-9 on blob inputs), so on a Krylov shape the
+results differ slightly from the dense path's on the same input. The
+alpha = 1 W steps that start from the secular roots are the exception:
+their Ritz vectors match the dense eigenvectors to round-off (subspaces
+within about 1e-12 on blob inputs). Each path is bit-reproducible on its
+own at a given BLAS thread count (see `solve`).
 
 Input X must be centered (features-by-samples); use `dataset.center` first.
 Labels never enter: `solve` takes a bare ndarray.
@@ -128,7 +135,6 @@ from .kmeans import (
 # Looked up here at call time, so a tracer can wrap the G step alone.
 from .kmeans import centroids as update_g
 from .linalg import (
-    KRYLOV_MAX_WIDTH,
     EigenPairs,
     block_krylov_top,
     gram_eig_top,
@@ -147,6 +153,9 @@ _GRAM_SLACK = 1e-12
 
 # Floor on W's row norms in `compute_d`, so a zero row gets a finite D.
 EPS_ROW = 1e-8
+
+# A d <= n solve takes the Krylov W step when d > KRYLOV_MIN_WIDTH * d'.
+KRYLOV_MIN_WIDTH = 65
 
 
 @dataclass
@@ -232,7 +241,8 @@ class SolverTrace:
     eig_checks: list[int] = field(default_factory=list)
     eig_restarts: list[int] = field(default_factory=list)
     eig_residual: list[float] = field(default_factory=list)
-    # Why a Krylov W step fell back (`EigenPairs.stop`); "" otherwise.
+    # Why a Krylov W step stopped short (`EigenPairs.stop`): the reason
+    # for a fallback, or "step cap" for a kept Ritz W; "" otherwise.
     eig_stop: list[str] = field(default_factory=list)
     # How the state's U was chosen: centroid updates over its K-means runs
     # (row 0: the init run) and the winning restart (-1: the incumbent).
@@ -394,9 +404,12 @@ def update_w(
     stops short of its tolerance, or its d'-th Ritz value lies below
     `MOperator.top_floor` by more than its residual (converged, but not to
     the top d'), M is formed and decomposed in full ("krylov-fallback",
-    with the loop's reason in `stop`). When M holds X X^T, its dense form
-    needs no product with X, so the loop also gives up as soon as its
-    residual stops falling between two checks ("stall").
+    with the loop's reason in `stop`). The exception is a matrix-free M
+    (no X X^T held) whose loop stops at "step cap": its Ritz pairs come
+    back unconverged (path "krylov", `stop` "step cap"), an ascent step
+    that forms no d x d array. When M holds X X^T, its dense form needs no
+    product with X, so the loop also gives up as soon as its residual
+    stops falling between two checks ("stall").
 
     At alpha = 1, M = S S^T - beta D is a diagonal plus a term of rank at
     most c - 1 (X is centered, so S's columns, weighted by sqrt(n_k), sum
@@ -423,6 +436,8 @@ def update_w(
         if ritz.values[-1] + slack >= m.top_floor(d_prime):
             return ritz
         ritz.stop = "floor"
+    elif m.gram is None and ritz.stop == "step cap":
+        return ritz
     pairs = sym_eig_top(m.dense(), d_prime)
     pairs.path = "krylov-fallback"
     pairs.steps, pairs.checks, pairs.stop = ritz.steps, ritz.checks, ritz.stop
@@ -481,8 +496,9 @@ def solve(
     differed, while U, the top 40 features, the eig paths and the
     objectives (to 1.4e-15 relative) agreed. Each traced
     state is also logged at DEBUG level to the "ufcm.solver" logger: its
-    objective, how W was computed (eig_path, eig_steps) and how U was
-    chosen (lloyd_steps, u_winner). A W step that falls back from the
+    objective, how W was computed (eig_path, eig_steps, eig_restarts, and
+    eig_stop when the loop stopped short) and how U was chosen
+    (lloyd_steps, u_winner). A W step that falls back from the
     Krylov loop logs one more line: why the loop stopped, and whether the
     next W step tries it again.
     """
@@ -499,7 +515,7 @@ def solve(
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.max_iter + 1)
 
     matrix_free = _matrix_free(d, n)
-    krylov = matrix_free or d > KRYLOV_MAX_WIDTH * d_prime
+    krylov = matrix_free or d > KRYLOV_MIN_WIDTH * d_prime
     eig, km = start.eig, start.km
     w = eig.vectors
     y = w.T @ x  # shared by the terms, the G update and the next U update
@@ -535,9 +551,9 @@ def solve(
         trace.u_winner.append(winner)
         _log.debug(
             "state %d: objective=%r eig_path=%s eig_steps=%d "
-            "eig_restarts=%d lloyd_steps=%d u_winner=%d",
-            len(trace) - 1, obj, eig.path, eig.steps, eig.restarts, steps,
-            winner,
+            "eig_restarts=%d%s lloyd_steps=%d u_winner=%d",
+            len(trace) - 1, obj, eig.path, eig.steps, eig.restarts,
+            f" eig_stop={eig.stop}" if eig.stop else "", steps, winner,
         )
         return rel
 

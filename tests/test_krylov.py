@@ -283,35 +283,69 @@ def test_a_d_greater_than_n_fallback_is_retried_each_w_step(caplog):
     ]
 
 
-def test_a_d_greater_than_n_w_step_falls_back_at_the_step_cap():
+def test_a_d_greater_than_n_w_step_keeps_its_ritz_w_at_the_step_cap():
     # At alpha = 10 on 1200 x 200 the residual falls too slowly for the
-    # restarted basis and then for the grown one: each W step stops when
-    # its 65 d' columns fill, after 64 steps, and falls back to the dense
-    # eigh of M. That eigh forms the 1200 x 1200 X X^T.
+    # restarted basis: each W step stops at its first restart, after 19
+    # steps, at "step cap" and keeps its Ritz W, an ascent step. A dense
+    # eigh of M would form the 1200 x 1200 X X^T; the solve stays below one
+    # such array.
     x = center(make_blobs(50, 4, 20, 1180, 4.0, 1.0, seed=1)).values
     cfg = SolverConfig(alpha=10.0, beta=1.0, p=1.0, c=4, max_iter=2, seed=1)
-    tr = solve(x, cfg).trace
-    assert tr.eig_path == ["dense", "krylov-fallback", "krylov-fallback"]
+    tracemalloc.start()
+    try:
+        tr = solve(x, cfg).trace
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tr.eig_path == ["dense", "krylov", "krylov"]
     assert tr.eig_stop == ["", "step cap", "step cap"]
-    assert tr.eig_steps == [0, 64, 64]
+    assert tr.eig_steps == [0, 19, 19]
+    assert peak < 8 * 1200**2
     obj = tr.objective
     for prev, cur in zip(obj, obj[1:]):
         assert cur >= prev - 1e-8 * (1.0 + abs(prev))
     assert max(tr.w_orth_error) <= 1e-8
 
 
-def test_every_d_greater_than_n_w_step_converges_on_the_loop():
-    # At alpha = 10 the first W step's residual falls too slowly for a
-    # basis that restarts at 20 d' columns: the loop stops restarting
-    # there, grows and converges on the loop, where a basis capped at 64
-    # steps fell back to a 400 x 400 eigh. The next two converge too.
+def test_every_d_greater_than_n_w_step_stays_on_the_loop(monkeypatch):
+    # At alpha = 10 every W step's residual falls too slowly for a basis
+    # that restarts at 20 d' columns: each stops at its first restart and
+    # keeps its Ritz W, with no dense fallback. At library defaults the
+    # solve still ends within 1e-4 of the J of one whose every W step is a
+    # dense eigh of the 400 x 400 M.
     x = centered_normal(0, 400, 60)
-    cfg = SolverConfig(alpha=10.0, beta=1.0, p=1.0, c=3, max_iter=3)
-    tr = check_solve(x, cfg).trace
-    assert tr.eig_path == ["dense"] + ["krylov"] * 3
-    assert tr.eig_stop == [""] * 4
-    assert tr.eig_steps[1] > 64
-    assert max(tr.eig_steps) < linalg.KRYLOV_MAX_STEPS
+    cfg = SolverConfig(alpha=10.0, beta=1.0, p=1.0, c=3)
+    res = check_solve(x, cfg)
+    tr = res.trace
+    assert res.converged
+    assert tr.eig_path == ["dense"] + ["krylov"] * res.iterations
+    assert max(tr.eig_steps) < 64
+    monkeypatch.setattr(solver, "_matrix_free", lambda d, n: False)
+    monkeypatch.setattr(solver, "KRYLOV_MIN_WIDTH", x.shape[0])
+    exact = solve(x, cfg)
+    assert set(exact.trace.eig_path) == {"dense"}
+    want = exact.trace.objective[-1]
+    assert abs(tr.objective[-1] - want) <= 1e-4 * abs(want)
+
+
+def test_a_dense_shape_w_step_at_the_step_cap_still_falls_back(monkeypatch):
+    # d <= n at alpha = 2: the first W step's rate misses the step cap at
+    # its first restart. With X X^T held it falls back to the dense eigh
+    # of M, and the rest of the solve is dense, so W, U and J keep the
+    # bits of the solve routed dense from the start.
+    x = blobs(300, 400)
+    cfg = SolverConfig(alpha=2.0, beta=1.0, p=1.0, c=4, max_iter=4)
+    res = solve(x, cfg)
+    tr = res.trace
+    assert tr.eig_path[:2] == ["dense", "krylov-fallback"]
+    assert tr.eig_stop[1] == "step cap"
+    assert tr.eig_steps[1] < 64
+    monkeypatch.setattr(solver, "KRYLOV_MIN_WIDTH", x.shape[0])
+    dense = solve(x, cfg)
+    assert set(dense.trace.eig_path) == {"dense"}
+    assert np.array_equal(res.w, dense.w)
+    assert np.array_equal(res.u.assignments, dense.u.assignments)
+    assert tr.objective == dense.trace.objective
 
 
 def tiny_gap_operator(d, k=4, seed=0):
@@ -368,12 +402,12 @@ def test_restarts_never_lower_the_trace(monkeypatch):
     assert all(b >= p - slack for p, b in zip(traces, traces[1:]))
 
 
-def test_a_loop_out_of_reach_of_the_cap_stops_when_its_basis_fills():
+def test_a_loop_out_of_reach_of_the_cap_stops_at_its_first_restart():
     # A's top 4 eigenvalues sit above 100 more within 0.7 of them, and the
     # spectrum reaches -1e4: the residual falls far too slowly to reach its
-    # tolerance by the step cap. The loop stops restarting at 20 k
-    # columns, grows, and gives up when the basis fills at 65 k, not at
-    # the cap; its Ritz pairs still raise the start's trace.
+    # tolerance by the step cap. The loop gives up when its basis first
+    # reaches 20 k columns, not at the cap; its Ritz pairs still raise the
+    # start's trace.
     rng = np.random.default_rng(0)
     d, k = 300, 4
     basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
@@ -387,7 +421,7 @@ def test_a_loop_out_of_reach_of_the_cap_stops_when_its_basis_fills():
     start, _ = np.linalg.qr(rng.normal(size=(d, k)))
     ritz = block_krylov_top(lambda v: a @ v, start)
     assert (ritz.converged, ritz.stop) == (False, "step cap")
-    assert ritz.steps == 64 < linalg.KRYLOV_MAX_STEPS
+    assert ritz.steps == 19 < linalg.KRYLOV_MAX_STEPS
     assert ritz.restarts == 0
     w = ritz.vectors
     assert np.trace(w.T @ a @ w) >= np.trace(start.T @ a @ start)
@@ -413,7 +447,7 @@ def test_one_restarted_w_step_holds_a_bounded_basis():
 def test_dense_shapes_take_the_krylov_loop_only_above_65_d_prime(
     d, path, monkeypatch
 ):
-    # At d <= 65 d' the basis could fill R^d before the step cap.
+    # Up to 65 d' the shape stays dense: at 20 d' the loop measured slower.
     calls = []
 
     def spy(*args, **kwargs):

@@ -577,19 +577,32 @@ def test_solve_non_convergence_returns_full_trace():
 
 
 def test_solve_logs_one_debug_line_per_state(caplog, capsys):
+    # The second solve (d > n, alpha = 10) keeps step-capped Ritz W steps,
+    # so its lines also name eig_stop; a state without a stop does not.
+    tall = np.random.default_rng(0).normal(size=(400, 60))
+    tall -= tall.mean(axis=1, keepdims=True)
+    capped = SolverConfig(alpha=10.0, beta=1.0, p=1.0, c=3, max_iter=2)
     caplog.set_level(logging.DEBUG, logger="ufcm.solver")
-    res = solve(blob_values(7, n_per_cluster=10, d_noise=5), cfg_for(seed=0))
-    records = [r for r in caplog.records if r.name == "ufcm.solver"]
-    assert len(records) == len(res.trace)
-    t = res.trace
-    for i, rec in enumerate(records):
-        assert rec.levelno == logging.DEBUG
-        assert rec.getMessage() == (
-            f"state {i}: objective={t.objective[i]!r} "
-            f"eig_path={t.eig_path[i]} eig_steps={t.eig_steps[i]} "
-            f"eig_restarts={t.eig_restarts[i]} "
-            f"lloyd_steps={t.lloyd_steps[i]} u_winner={t.u_winner[i]}"
-        )
+    for x, cfg in [
+        (blob_values(7, n_per_cluster=10, d_noise=5), cfg_for(seed=0)),
+        (tall, capped),
+    ]:
+        caplog.clear()
+        res = solve(x, cfg)
+        records = [r for r in caplog.records if r.name == "ufcm.solver"]
+        assert len(records) == len(res.trace)
+        t = res.trace
+        for i, rec in enumerate(records):
+            stop = f" eig_stop={t.eig_stop[i]}" if t.eig_stop[i] else ""
+            assert rec.levelno == logging.DEBUG
+            assert rec.getMessage() == (
+                f"state {i}: objective={t.objective[i]!r} "
+                f"eig_path={t.eig_path[i]} eig_steps={t.eig_steps[i]} "
+                f"eig_restarts={t.eig_restarts[i]}{stop} "
+                f"lloyd_steps={t.lloyd_steps[i]} u_winner={t.u_winner[i]}"
+            )
+    assert t.eig_stop == ["", "step cap", "step cap"]
+    assert "eig_stop=step cap" in records[1].getMessage()
     assert capsys.readouterr().out == ""
 def test_each_u_update_logs_one_debug_line(caplog, capsys):
     caplog.set_level(logging.DEBUG, logger="ufcm.kmeans")
