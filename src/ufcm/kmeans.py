@@ -41,6 +41,30 @@ per run, so a step's score costs O(c d') and gathers no (n, d') array.
 The fit that candidates are compared by is computed directly, once per run,
 at the returned state.
 
+The U update's restarts run in lockstep (`_lloyd_lockstep`, which
+`run_kmeans` calls with one seed). A step advances a group of a runs as
+one (a, c, d') block of center rows: one stacked product scores all of
+them, one stacked product sums their clusters, and one offset `bincount`
+counts them, so the 20 or so numpy calls of a step are paid once per
+group, not once per run. A slice of a stacked product is the GEMM that
+its run alone calls, and every other pass is elementwise or reduces along
+the same axis as for one run, so each run keeps the bits of its one-seed
+call. A group holds at most LOCKSTEP_ENTRIES // (c n) runs, and at least
+one. Past about 1e5 entries in its (a, c, n) block, a group is slower
+than fewer runs at a time, likely because the step's arrays then outgrow
+a 2 MB L2 cache. Milliseconds of one U update with r = 10 (2 vCPUs, 2 MB
+L2 per core, OpenBLAS, numpy 2.4; median of 30-100 alternated calls per
+group size a):
+
+    c n     shape, workload          a = 1   a = 2   a = 4   a = 8   a = 10
+    800     4 x 200, tall-eig         2.54    2.02    1.69    1.46    1.16
+    7500    5 x 1500, cli-csv        11.15   10.33    9.43    9.51    8.47
+    20000   4 x 5000                 16.86   13.94   14.70   18.77   19.30
+    50000   10 x 5000, wide-kmeans   46.15   46.75   47.66   50.77   50.16
+
+LOCKSTEP_ENTRIES = 2^16 thus runs all 10 restarts together at c n = 800,
+8 and then 2 at 7500, 3 at a time at 20000 and one at a time at 50000.
+
 All randomness flows from explicit integer seeds; runs are bit-reproducible.
 """
 
@@ -57,6 +81,9 @@ from .linalg import require_real
 _log = logging.getLogger(__name__)
 
 LLOYD_MAX_STEPS = 100  # cap on centroid updates per K-means run
+# Cap on a * c * n, the entries of one lockstep group's (a, c, n) score
+# block; measured in the module docstring.
+LOCKSTEP_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -117,22 +144,31 @@ class CandidateChoice(NamedTuple):
 
 
 def assign_labels(y, center_rows):
-    """Index of the nearest center row for every column of ``y``."""
-    c = center_rows.shape[0]
-    product = y.T @ center_rows.T  # (n, c)
-    scores = np.multiply(product.T, -2.0, order="C")  # (c, n)
-    scores += np.einsum("ij,ij->i", center_rows, center_rows)[:, None]
-    hit = scores == scores.min(axis=0)
+    """Index of the nearest center row for every column of ``y``.
+
+    ``center_rows`` is (c, k), or (a, c, k) for a runs at once; the labels
+    are then (a, n), each row what its (c, k) slice alone gives.
+    """
+    c = center_rows.shape[-2]
+    product = y.T @ center_rows.swapaxes(-1, -2)  # (..., n, c)
+    scores = np.multiply(product.swapaxes(-1, -2), -2.0, order="C")
+    scores += np.einsum("...ij,...ij->...i", center_rows, center_rows)[
+        ..., None
+    ]
+    hit = scores == scores.min(axis=-2, keepdims=True)
     # Row k ranks c - k, so the largest rank among the hits is the lowest
     # index that attains the minimum.
     rank = np.arange(c, 0, -1, dtype=np.min_scalar_type(c))[:, None]
-    return c - (hit * rank).max(axis=0).astype(np.int64)
+    return c - (hit * rank).max(axis=-2).astype(np.int64)
 
 
 def centroid_sums(y, labels, c):
     """Per-cluster sums of the columns of ``y`` as a (c, k) matrix, via one
-    product with the one-hot indicator. Counts are the caller's."""
-    onehot = (labels == np.arange(c)[:, None]).astype(np.float64)
+    product with the one-hot indicator; (a, c, k) for (a, n) labels.
+    Counts are the caller's."""
+    onehot = (labels[..., None, :] == np.arange(c)[:, None]).astype(
+        np.float64
+    )
     return onehot @ y.T
 
 
@@ -228,39 +264,82 @@ def run_kmeans(y: np.ndarray, c: int, seed: int) -> KMeansResult:
     n = y.shape[1]
     if not 1 <= c <= n:
         raise ValueError(f"cluster count {c} out of range [1, {n}]")
+    return _lloyd_lockstep(y, c, [seed], _finite_total(y))[0]
 
-    total = _finite_total(y)
-    rng = np.random.default_rng(seed)
-    center_rows = y[:, rng.choice(n, size=c, replace=False)].T.copy()
 
-    # One byte per sample for c <= 256 keeps the visited set small.
+def _lloyd_lockstep(y, c, seeds, total) -> list[KMeansResult]:
+    """The `run_kmeans` run of every seed, all stepped together.
+
+    ``y`` is C-contiguous float64 with 1 <= c <= n, and ``total`` its sum
+    of squares. Each step advances the a live runs as one (a, c, k) center
+    block: one stacked product scores them, one stacked product sums their
+    clusters. A slice of a stacked product runs the GEMM its run alone
+    would, so every run keeps the bits of a one-seed call. A run leaves
+    the block when it revisits one of its own labellings. Returns one
+    result per seed, in seed order.
+    """
+    a, n = len(seeds), y.shape[1]
+    picks = np.empty((a, c), dtype=np.intp)
+    for i, s in enumerate(seeds):
+        picks[i] = np.random.default_rng(s).choice(n, size=c, replace=False)
+    rows = y.T[picks]  # (a, c, k) center rows
+    # One byte per sample for c <= 256 keeps the visited sets small.
     key_type = np.min_scalar_type(c - 1)
-    visited = set()
+    live = np.arange(a)  # the run that each slice advances
+    offsets = c * live[:, None]
+    visited = [set() for _ in range(a)]
+    between_ss = np.empty((LLOYD_MAX_STEPS, a))  # a column per live run
+    # Labels, center rows and per-step between-cluster SS of each run.
+    ends = [None] * a
     labels = None
-    history = []
-    for _ in range(LLOYD_MAX_STEPS):
-        new = assign_labels(y, center_rows)
-        counts = np.bincount(new, minlength=c)
-        new = _repair_empty(y, new, center_rows, counts)
-        key = new.astype(key_type).tobytes()
-        if key in visited:
+    for step in range(LLOYD_MAX_STEPS):
+        new = assign_labels(y, rows)
+        counts = np.bincount(
+            (new + offsets).ravel(), minlength=live.size * c
+        ).reshape(-1, c)
+        if not counts.all():
+            for k in np.flatnonzero(counts.min(axis=1) == 0):
+                new[k] = _repair_empty(y, new[k], rows[k], counts[k])
+        keys = new.astype(key_type)
+        gone = []
+        for k, seen in enumerate(visited):
+            key = keys[k].tobytes()
+            if key in seen:
+                gone.append(k)
+            seen.add(key)
+        for k in gone:
+            ends[live[k]] = labels[k], rows[k], between_ss[:step, k]
+        if len(gone) == live.size:
             break
-        visited.add(key)
+        if gone:
+            stay = np.ones(live.size, dtype=bool)
+            stay[gone] = False
+            live, new, counts = live[stay], new[stay], counts[stay]
+            between_ss = between_ss[:, stay]
+            offsets = c * np.arange(live.size)[:, None]
+            visited = [v for v, keep in zip(visited, stay) if keep]
         labels = new
         sums = centroid_sums(y, labels, c)
-        center_rows = sums / counts[:, None]
-        between = np.einsum("ij,ij->i", sums, sums) / counts
-        history.append(total - float(between.sum()))
+        rows = sums / counts[..., None]
+        between = np.einsum("...ij,...ij->...i", sums, sums) / counts
+        between_ss[step] = between.sum(axis=-1)
+    else:
+        for k, run in enumerate(live):
+            ends[run] = labels[k], rows[k], between_ss[:, k]
 
-    centers = center_rows.T.copy()
-    fit = fit_value(y, centers, labels)
-    history[-1] = fit
-    return KMeansResult(
-        indicator=IndicatorMatrix(labels, c),
-        centers=centers,
-        fit=fit,
-        fit_history=tuple(history),
-    )
+    results = []
+    for labels, center_rows, ss in ends:
+        centers = center_rows.T.copy()
+        fit = fit_value(y, centers, labels)
+        fits = (total - ss).tolist()
+        fits[-1] = fit
+        results.append(KMeansResult(
+            indicator=IndicatorMatrix(labels, c),
+            centers=centers,
+            fit=fit,
+            fit_history=tuple(fits),
+        ))
+    return results
 
 
 def update_u_with_candidates(
@@ -268,17 +347,19 @@ def update_u_with_candidates(
 ) -> CandidateChoice:
     """Best of the incumbent and r fresh K-means runs, by fit.
 
-    Each candidate is a `run_kmeans` run (at most LLOYD_MAX_STEPS, 100,
-    centroid updates) from a distinct derived seed, with the cluster count
+    Each candidate is the `run_kmeans` run (at most LLOYD_MAX_STEPS, 100,
+    centroid updates) of a distinct derived seed, with the cluster count
     c taken from `u_prev`, scored by ||Y - G U^T||_F^2 under its own
     induced centroids; the incumbent is scored the same way and wins ties,
     so the returned fit never exceeds the incumbent's. When the incumbent
-    wins, its own `u_prev` object is returned. Non-real or non-finite y
-    raises ValueError, as in `run_kmeans`, also when r = 0.
+    wins, its own `u_prev` object is returned. The runs are stepped
+    together, in groups of at most LOCKSTEP_ENTRIES // (c n) seeds, and
+    give the bits of one `run_kmeans` call per seed. Non-real or
+    non-finite y raises ValueError, as in `run_kmeans`, also when r = 0.
 
     Each call logs one DEBUG line to the "ufcm.kmeans" logger: the winner,
-    the restarts run, their Lloyd steps, the incumbent's fit and the
-    chosen fit.
+    the restarts run, their Lloyd steps in total and per restart in seed
+    order, the incumbent's fit and the chosen fit.
     """
     y = np.ascontiguousarray(require_real(y, "y"), dtype=np.float64)
     if u_prev.n != y.shape[1]:
@@ -286,22 +367,27 @@ def update_u_with_candidates(
     if r < 0:
         raise ValueError("r must be >= 0")
 
-    _finite_total(y)
+    total = _finite_total(y)
     inc_centers = centroids(y, u_prev)
     inc_fit = fit_value(y, inc_centers, u_prev.assignments)
     best = KMeansResult(indicator=u_prev, centers=inc_centers, fit=inc_fit)
 
-    winner, steps = -1, 0
-    for i, s in enumerate(np.random.SeedSequence(seed).generate_state(r)):
-        cand = run_kmeans(y, u_prev.n_clusters, int(s))
-        steps += len(cand.fit_history)
-        if cand.fit < best.fit:
-            best, winner = cand, i
+    c = u_prev.n_clusters
+    seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(r)]
+    group = max(1, LOCKSTEP_ENTRIES // (c * y.shape[1]))
+    winner, run_steps = -1, []
+    for lo in range(0, r, group):
+        runs = _lloyd_lockstep(y, c, seeds[lo:lo + group], total)
+        for i, cand in enumerate(runs, start=lo):
+            run_steps.append(len(cand.fit_history))
+            if cand.fit < best.fit:
+                best, winner = cand, i
     _log.debug(
-        "u update: winner=%d restarts=%d lloyd_steps=%d "
+        "u update: winner=%d restarts=%d lloyd_steps=%d restart_steps=[%s] "
         "incumbent_fit=%r fit=%r",
-        winner, r, steps, inc_fit, best.fit,
+        winner, r, sum(run_steps), ",".join(map(str, run_steps)),
+        inc_fit, best.fit,
     )
     return CandidateChoice(
-        best.indicator, best.centers, best.fit, winner, steps
+        best.indicator, best.centers, best.fit, winner, sum(run_steps)
     )

@@ -1,7 +1,10 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import NON_REAL, names_dtype
 from ufcm import kmeans
@@ -126,15 +129,19 @@ def test_run_kmeans_reaches_global_optimum_usually():
     assert hits >= 40  # >= 80% of seeds
 
 
-def test_run_kmeans_stops_when_duplicate_samples_cycle():
-    # 40 samples at 3 distinct points, c = 5: `_repair_empty` refills an
-    # emptied cluster with a point another centroid sits on, and that
-    # point's copies then flip between the two clusters on every step, so
-    # the labels never repeat on consecutive steps.
+def cycling_duplicates():
+    """40 samples at 3 distinct points, for c = 5: `_repair_empty` refills
+    an emptied cluster with a point another centroid sits on, and that
+    point's copies then flip between the two clusters on every step, so
+    the labels never repeat on consecutive steps."""
     rng = np.random.default_rng(8)
     points = rng.normal(size=(3, 2))
     y = points[rng.integers(0, 3, size=40)].T
-    y = y - y.mean(axis=1, keepdims=True)
+    return y - y.mean(axis=1, keepdims=True)
+
+
+def test_run_kmeans_stops_when_duplicate_samples_cycle():
+    y = cycling_duplicates()
     for seed in range(10):
         res = run_kmeans(y, 5, seed)
         assert len(res.fit_history) < 10
@@ -331,6 +338,107 @@ def test_non_contiguous_views_give_the_bits_of_their_copy(view):
         assert (a.fit, a.winner, a.lloyd_steps) == (
             b.fit, b.winner, b.lloyd_steps
         )
+
+
+def same_run(a, b):
+    """Equal K-means results, to the last bit."""
+    return (
+        np.array_equal(a.indicator.assignments, b.indicator.assignments)
+        and np.array_equal(a.centers, b.centers)
+        and a.fit == b.fit
+        and a.fit_history == b.fit_history
+    )
+
+
+def loop_update_u(y, u_prev, r, seed):
+    """The U update as a loop over one-seed `run_kmeans` calls: the winner
+    (-1 for the incumbent, which wins ties), its result (None for the
+    incumbent), the chosen fit and the Lloyd steps of each restart."""
+    y = np.ascontiguousarray(y)
+    fit = kmeans.fit_value(y, centroids(y, u_prev), u_prev.assignments)
+    best, winner, steps = None, -1, []
+    for i, s in enumerate(np.random.SeedSequence(seed).generate_state(r)):
+        run = run_kmeans(y, u_prev.n_clusters, int(s))
+        steps.append(len(run.fit_history))
+        if run.fit < fit:
+            best, fit, winner = run, run.fit, i
+    return winner, best, fit, steps
+
+
+@st.composite
+def lockstep_problems(draw):
+    """Data, cluster count, restart count, lockstep group size and seed.
+
+    Gaussian columns, or columns drawn from at most 4 distinct points,
+    where coinciding initial centers leave a cluster for `_repair_empty`
+    to fill; or the input whose duplicate samples make the labels cycle.
+    c = 1 and c = n are drawn on their own.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["gaussian", "few points", "cycle"]))
+    if kind == "cycle":
+        y, c = cycling_duplicates(), 5
+    else:
+        d, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=(d, n))
+        if kind == "few points":
+            y = y[:, rng.integers(0, min(n, 4), size=n)]
+        c = draw(st.sampled_from([1, n, draw(st.integers(1, n))]))
+    r = draw(st.integers(0, 12))
+    group = draw(st.integers(1, 13))
+    if draw(st.booleans()):
+        y = strided_columns(y)
+    return y, c, r, group, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(lockstep_problems())
+def test_lockstep_runs_give_the_bits_of_one_seed_runs(problem):
+    y, c, r, group, seed = problem
+    yc = np.ascontiguousarray(y)
+    seeds = [seed + i for i in range(r)]
+    runs = kmeans._lloyd_lockstep(yc, c, seeds, kmeans._finite_total(yc))
+    assert len(runs) == r
+    for s, run in zip(seeds, runs):
+        assert same_run(run, run_kmeans(y, c, s))
+
+    u_prev = run_kmeans(y, c, seed + r).indicator
+    with pytest.MonkeyPatch.context() as mp:
+        # Groups of `group` restarts, so they split when group < r.
+        mp.setattr(kmeans, "LOCKSTEP_ENTRIES", group * c * y.shape[1])
+        res = update_u_with_candidates(y, u_prev, r, seed)
+    winner, best, fit, steps = loop_update_u(y, u_prev, r, seed)
+    assert (res.winner, res.fit, res.lloyd_steps) == (winner, fit, sum(steps))
+    if winner == -1:
+        assert res.indicator is u_prev
+        assert np.array_equal(res.centers, centroids(yc, u_prev))
+    else:
+        assert np.array_equal(
+            res.indicator.assignments, best.indicator.assignments
+        )
+        assert np.array_equal(res.centers, best.centers)
+    if c == 1:  # every restart ties with the incumbent
+        assert winner == -1
+
+
+@pytest.mark.parametrize("r", [0, 7])
+def test_update_u_logs_each_restarts_lloyd_steps_in_seed_order(
+    r, caplog, monkeypatch
+):
+    y = centered_blobs(3, 4, 200, 4)
+    u_prev = run_kmeans(y, 4, 99).indicator
+    monkeypatch.setattr(kmeans, "LOCKSTEP_ENTRIES", 3 * 4 * 200)
+    caplog.set_level(logging.DEBUG, logger="ufcm.kmeans")
+    res = update_u_with_candidates(y, u_prev, r=r, seed=5)
+    winner, _, _, steps = loop_update_u(y, u_prev, r, 5)
+    assert r == 0 or len(set(steps)) > 1  # the order shows
+    [record] = [rec for rec in caplog.records if rec.name == "ufcm.kmeans"]
+    assert record.getMessage().startswith(
+        f"u update: winner={winner} restarts={r} "
+        f"lloyd_steps={res.lloyd_steps} "
+        f"restart_steps=[{','.join(map(str, steps))}] incumbent_fit="
+    )
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

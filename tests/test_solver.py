@@ -359,14 +359,15 @@ def test_trace_reports_the_dense_eigensolve_per_state():
 
 
 def test_trace_reports_the_u_update_per_state(monkeypatch):
-    # Count each state's Lloyd steps and winner through the names the
-    # solver looks up: the init run, the U updates and their restarts.
+    # Count each state's winner through the name the solver looks up, and
+    # its Lloyd steps through the kernel that steps the init run and every
+    # restart of the U updates.
     steps, winners = [0], [-1]
 
     def counted(run):
         def wrapped(*args, **kwargs):
             res = run(*args, **kwargs)
-            steps[-1] += len(res.fit_history)
+            steps[-1] += sum(len(one.fit_history) for one in res)
             return res
 
         return wrapped
@@ -378,8 +379,9 @@ def test_trace_reports_the_u_update_per_state(monkeypatch):
         return res
 
     update_u = solver.update_u_with_candidates
-    monkeypatch.setattr(kmeans, "run_kmeans", counted(kmeans.run_kmeans))
-    monkeypatch.setattr(solver, "run_kmeans", counted(solver.run_kmeans))
+    monkeypatch.setattr(
+        kmeans, "_lloyd_lockstep", counted(kmeans._lloyd_lockstep)
+    )
     monkeypatch.setattr(solver, "update_u_with_candidates", u_update)
     cfg = cfg_for(seed=4, r=4, tol=1e-12, max_iter=8)
     res = solve(blob_values(1), cfg)
@@ -613,17 +615,19 @@ def test_each_u_update_logs_one_debug_line(caplog, capsys):
     assert len(records) == len(res.trace) - 1  # state 0 has no U update
     pattern = re.compile(
         r"u update: winner=(-?\d+) restarts=(\d+) lloyd_steps=(\d+) "
-        r"incumbent_fit=(\S+) fit=(\S+)"
+        r"restart_steps=\[([\d,]*)\] incumbent_fit=(\S+) fit=(\S+)"
     )
     t = res.trace
     for i, rec in enumerate(records, start=1):
         assert rec.levelno == logging.DEBUG
-        winner, restarts, steps, inc_fit, fit = pattern.fullmatch(
+        winner, restarts, steps, each, inc_fit, fit = pattern.fullmatch(
             rec.getMessage()
         ).groups()
         assert int(winner) == t.u_winner[i]
         assert int(restarts) == cfg.r
         assert int(steps) == t.lloyd_steps[i]
+        each = [int(s) for s in each.split(",")]
+        assert len(each) == cfg.r and sum(each) == int(steps)
         assert float(fit) <= float(inc_fit)
         assert (float(fit) == float(inc_fit)) == (t.u_winner[i] == -1)
     assert capsys.readouterr().out == ""
