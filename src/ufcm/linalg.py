@@ -17,12 +17,18 @@ Three ways to the top-k eigenpairs of a symmetric matrix:
   the newest block. The kept vectors hold the best k found so far, so no
   restart lowers the trace. Where the residual falls too slowly for the
   restarted loop to converge by its step cap, the loop stops there.
+  With a preconditioner, the same loop extends its basis by the
+  preconditioned Ritz residuals instead (the generalized Davidson
+  correction; Morgan & Scott 1986): the solver runs it in the eigenbasis
+  of X X^T, where the diagonal of M is the preconditioner, and the rest
+  of the loop (restarts, deflation, checks, stops) is shared.
 - `secular_start`: for A = S S^T - diag(delta) with a thin (d, c) S and
   k <= c, the top-k eigenpairs from the roots of the c x c secular
   equation of a diagonal plus a low-rank term (the modified eigenproblem
   of Golub 1973 and Bunch, Nielsen & Sorensen 1978), at O(d c^2) per
   evaluation. It returns a start for `block_krylov_top`, whose first
-  check then certifies the pairs.
+  check then certifies the pairs, or the first block of its
+  preconditioned loop.
 
 `gram_eig_top` gives the top k <= d eigenpairs of X X^T for a (d, n) X
 with d > n from the n x n product X^T X, without forming the d x d one.
@@ -40,6 +46,7 @@ import numpy as np
 
 KRYLOV_TOL = 1e-11     # relative Ritz residual at which the loop stops
 KRYLOV_MAX_STEPS = 128  # hard cap on block steps, restarts included
+DAVIDSON_MAX_STEPS = 32  # the cap for the preconditioned loop
 CENTER_TOL = 1e-6      # feature-mean bound, relative to max(1, max |x|)
 _ROUNDOFF = 1e-14      # residual floor, as a share of ||T|| (see below)
 _FIRST_GAP = 4         # block steps to the next check, no rate known
@@ -62,16 +69,20 @@ class EigenPairs:
     projections and `restarts` the thick restarts among those, all 0 for
     a direct decomposition; `converged` is False when Ritz pairs missed
     their tolerance. `path` names the solver: "dense" for a direct LAPACK
-    decomposition, "krylov" for Ritz pairs of `block_krylov_top`, and
-    "krylov-fallback" (set by `solver.update_w`) for a dense decomposition
-    taken after a Krylov loop was abandoned, whose steps, checks and
-    restarts are then counted. `stop` names why a Krylov loop stopped
-    short: "step cap", "stall", "invariant basis", "full basis", or
-    "floor" (set by `solver.update_w`); it is empty otherwise. On
-    "krylov-fallback" pairs it says why the loop was abandoned; on
-    "krylov" pairs (a matrix-free W step kept at "step cap") why they
-    are not converged. `spectrum` holds every eigenvalue the direct
-    decomposition computed, descending; None for Ritz pairs.
+    decomposition, "krylov" for Ritz pairs of `block_krylov_top`,
+    "davidson" for Ritz pairs of its preconditioned loop, and
+    "krylov-fallback" or "davidson-fallback" (set by `solver.update_w`)
+    for a dense decomposition taken after that loop was abandoned, whose
+    steps, checks and restarts are then counted. `stop` names why a loop
+    stopped short: "step cap", "stall", "invariant basis", "full basis",
+    or "floor" (set by `solver.update_w`); it is empty otherwise. On
+    fallback pairs it says why the loop was abandoned; on "krylov" pairs
+    (a matrix-free W step kept at "step cap") why they are not converged.
+    `spectrum` holds every eigenvalue the direct decomposition computed,
+    descending; None for Ritz pairs. `basis` holds their eigenvectors,
+    in the ascending order `eigh` returns them (column j belongs to
+    `spectrum[-1 - j]`), only where the caller asked `sym_eig_top` to
+    keep them; None otherwise.
     """
 
     values: np.ndarray   # (k,)
@@ -84,6 +95,7 @@ class EigenPairs:
     stop: str = ""
     spectrum: np.ndarray | None = None
     restarts: int = 0
+    basis: np.ndarray | None = None  # (d, d)
 
 
 def require_real(x, name: str) -> np.ndarray:
@@ -139,14 +151,17 @@ def _residual(av, v, values) -> tuple[float, float]:
     return r, 0.0 if r == 0 else float("inf")
 
 
-def sym_eig_top(a: np.ndarray, k: int) -> EigenPairs:
+def sym_eig_top(
+    a: np.ndarray, k: int, keep_basis: bool = False
+) -> EigenPairs:
     """Top-k eigenpairs of a symmetric matrix, values descending.
 
     Symmetry is not checked: `np.linalg.eigh` reads only the lower
     triangle, so the caller passes an exactly symmetric matrix (the solver's
     X X^T and `build_m` output are). Signs follow `fix_signs`, so results
     are reproducible. Eigenvalue ties at the k boundary keep the
-    first-returned vectors.
+    first-returned vectors. With `keep_basis`, `basis` holds every
+    eigenvector as `eigh` returned it, uncopied.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -154,12 +169,15 @@ def sym_eig_top(a: np.ndarray, k: int) -> EigenPairs:
     if not 1 <= k <= a.shape[0]:
         raise ValueError(f"k={k} out of range [1, {a.shape[0]}]")
 
-    spectrum, vectors = np.linalg.eigh(a)
+    spectrum, basis = np.linalg.eigh(a)
     spectrum = spectrum[::-1]
     values = spectrum[:k].copy()
-    vectors = fix_signs(vectors[:, ::-1][:, :k].copy())
+    vectors = fix_signs(basis[:, ::-1][:, :k].copy())
     _, residual = _residual(a @ vectors, vectors, values)
-    return EigenPairs(values, vectors, residual, spectrum=spectrum)
+    pairs = EigenPairs(values, vectors, residual, spectrum=spectrum)
+    if keep_basis:
+        pairs.basis = basis
+    return pairs
 
 
 def gram_eig_top(x: np.ndarray, k: int) -> EigenPairs:
@@ -197,6 +215,10 @@ def block_krylov_top(
     apply: Callable[[np.ndarray], np.ndarray],
     start: np.ndarray,
     stall: bool = False,
+    precondition: (
+        Callable[[np.ndarray, np.ndarray], np.ndarray] | None
+    ) = None,
+    lead: np.ndarray | None = None,
 ) -> EigenPairs:
     """Top-k Ritz pairs of a symmetric operator, warm-started at `start`.
 
@@ -211,6 +233,19 @@ def block_krylov_top(
     max_j ||A w_j - theta_j w_j|| is at most KRYLOV_TOL * max_j |theta_j|,
     or after KRYLOV_MAX_STEPS (128) steps. The basis and A times it are
     column-major, so each step's slices are contiguous.
+
+    With `precondition`, the loop extends its basis the generalized
+    Davidson way instead (Davidson 1975; Morgan & Scott 1986): each step
+    is checked, and its new block is `precondition(R, theta)`, for R the
+    (d, k) residual block A W - W diag(theta) of the top-k Ritz pairs
+    just checked, in place of A times the newest block. Its path is
+    "davidson" and its step cap DAVIDSON_MAX_STEPS (32). `lead`, a (d, b)
+    block with b <= k, is the first such block when given, so the first
+    basis is [S, lead]. Everything after the new block is shared: the two
+    projections (the first now through Q^T times the block), deflation,
+    restarts with their rate rule, the checks' tolerance and round-off
+    floor and the stop reasons. Here "invariant basis" means a
+    preconditioned residual that added no direction.
 
     Thick restarts bound the basis (Wu & Simon 2000; Stewart's
     Krylov-Schur, 2001). When the next block could take the basis past
@@ -276,6 +311,7 @@ def block_krylov_top(
     d, k = start.shape
     if not 1 <= k <= d:
         raise ValueError(f"start has {k} columns, out of range [1, {d}]")
+    cap = KRYLOV_MAX_STEPS if precondition is None else DAVIDSON_MAX_STEPS
     limit = min(d, _RESTART_WIDTH * k)  # the most columns the basis holds
     q = np.empty((d, limit), order="F")    # orthonormal basis
     aq = np.empty((d, limit), order="F")   # A applied to it
@@ -292,9 +328,9 @@ def block_krylov_top(
         t[lo:hi, :hi] = coef.T
         t[lo:hi, lo:hi] = (coef[lo:] + coef[lo:].T) / 2
 
-        # The next block has at most hi - lo columns.
+        # The next block has at most hi - lo columns, k when preconditioned.
         if (
-            steps in (due, KRYLOV_MAX_STEPS)
+            steps in (due, cap)
             or hi + (hi - lo) > limit
             or hi + (hi - lo) >= d
         ):
@@ -304,17 +340,28 @@ def block_krylov_top(
             checks += 1
             if ritz.converged:
                 break
-            if steps == KRYLOV_MAX_STEPS:
+            if steps == cap:
                 ritz.stop = "step cap"
                 break
             log_excess = math.log(excess)
             if stall and last is not None and log_excess >= last[1]:
                 ritz.stop = "stall"
                 break
-            due = _next_check(steps, log_excess, last)
+            if precondition is None:
+                due = _next_check(steps, log_excess, last)
+            else:
+                due = steps + 1
             last = steps, log_excess
             cycle = cycle or last
 
+        if precondition is not None:
+            if steps == 0 and lead is not None:
+                block = lead.copy()
+            else:  # from the residual of the pairs just checked
+                theta, top = ritz_basis[0][:k], ritz_basis[1][:, :k]
+                resid = aq[:, :hi] @ top - (q[:, :hi] @ top) * theta
+                block = precondition(resid, theta)
+            coef = q[:, :hi].T @ block
         norm = np.linalg.norm(block)
         block -= q[:, :hi] @ coef
         u, s, _ = np.linalg.svd(block, full_matrices=False)
@@ -338,7 +385,7 @@ def block_krylov_top(
             # This step was checked above. Restart only if the cycle's rate
             # reaches the tolerance by the step cap; otherwise give up.
             rate = (last[1] - cycle[1]) / (steps - cycle[0])
-            if rate >= 0 or steps - last[1] / rate > KRYLOV_MAX_STEPS:
+            if rate >= 0 or steps - last[1] / rate > cap:
                 ritz.stop = "step cap"
                 break
             theta, y = ritz_basis
@@ -361,7 +408,7 @@ def block_krylov_top(
         steps += 1
 
     ritz.steps, ritz.checks, ritz.restarts = steps, checks, restarts
-    ritz.path = "krylov"
+    ritz.path = "krylov" if precondition is None else "davidson"
     return ritz
 
 

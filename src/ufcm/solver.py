@@ -15,8 +15,9 @@ trace field name `regularizer_pow_p` records the convention.
 
 `build_m` returns M = (1 - alpha) X X^T + alpha S S^T - beta D as an
 `MOperator`, with S the (d, c) scaled cluster sums; a d x d M is formed
-only for a dense eigh. `solve` alone picks the W step's path, from the
-shape of the (d, n) input, d' and what happened earlier in the solve:
+only for a dense eigh. `solve` picks the W step's path from the shape of
+the (d, n) input, d' and what happened earlier in the solve, and
+`update_w` picks the loop from M's numbers:
 
 - Krylov: `update_w` takes the top d' Ritz pairs from a block Krylov
   basis warm-started at the previous W (`linalg.block_krylov_top`, which
@@ -33,52 +34,82 @@ shape of the (d, n) input, d' and what happened earlier in the solve:
     X X^T at O(d (d + c) b). The loop's basis restarts at 20 d' columns,
     far from filling R^d at that width; below it the dense eigh is cheap
     enough (see the measurements below).
+- Davidson, on n >= d > 65 d' at alpha != 1: the start keeps every
+  eigenvector V of X X^T that its eigh computed (`SolverStart.eig.basis`),
+  and the same loop runs in V's coordinates. There the data term
+  (1 - alpha) Lambda is diagonal, so the diagonal of V^T M V,
+  (1 - alpha) Lambda + alpha rowsq(V^T S) - beta (V o V)^T D, which
+  costs O(d^2 c) per W step for V^T S, preconditions each step's Ritz
+  residuals.
+  For d' <= c the first basis also holds the secular roots of M's
+  diagonal-plus-low-rank part in V's coordinates. `update_w` takes this
+  loop when |1 - alpha| (lambda_1 - lambda_d) >= `DAVIDSON_SPREAD` (10)
+  times beta (max D - min D), the spread of the D term, which V leaves
+  off the diagonal; at alpha > 1 only for d' <= c.
 - dense, otherwise: `sym_eig_top` decomposes the d x d M in full. The PCA
   init decomposes the held X X^T.
 
-The start (`SolverStart`: X X^T when d <= n, the PCA eigenpairs and the
-init K-means run) depends on X, c, d' and the seed only, so a grid over
-alpha, beta and p builds it once (`build_start`).
+The start (`SolverStart`: X X^T when d <= n, the PCA eigenpairs, the
+eigenbasis of X X^T where the Davidson loop may run, and the init K-means
+run) depends on X, c, d' and the seed only, so a grid over alpha, beta
+and p builds it once (`build_start`).
 
-A Krylov W step falls back to the dense eigh of M ("krylov-fallback") when
-the loop stops short of its tolerance (an invariant basis, a basis that
-would fill R^d, or, on d <= n only, the step cap, reached or out of reach
-at a restart), or when its Ritz values fall below a lower bound on M's
-top d' eigenvalues (`MOperator.top_floor`, Weyl's inequality on the X X^T
-eigenvalues that the start's eigh returned). On the d <= n shape, forming
-M needs no product with X, so the loop also stops as soon as its residual
-fails to fall between two checks ("stall"), and after one fallback the
-rest of the solve is dense. On the d > n shape a fallback forms the d x d
-X X^T, so a loop that stops at the step cap keeps its Ritz W instead (path
-"krylov", `eig_stop` "step cap"); it has no stall stop, and after a
-fallback the next W step tries Krylov again. A kept W is an ascent step
-(see below), but the solve may take more outer iterations: a 400 x 60
-input at alpha = 10 and library defaults took 11 against 9 with exact W
-steps, and ended 6e-5 below their J. With a stall stop, a 1200 x 200
-solve (benchmark seed 402) stalled on its third W step, and the process's
-peak resident memory rose from 50 to 109 MB.
+A Krylov or Davidson W step falls back to the dense eigh of M
+("krylov-fallback", "davidson-fallback") when the loop stops short of its
+tolerance (an invariant basis, a basis that would fill R^d, or, on d <= n
+only, the step cap, reached or out of reach at a restart), or when its
+Ritz values fall below a lower bound on M's top d' eigenvalues
+(`MOperator.top_floor`, Weyl's inequality on the X X^T eigenvalues that
+the start's eigh returned). On the d <= n shape, forming M needs no
+product with X, so the Krylov loop also stops as soon as its residual
+fails to fall between two checks ("stall"), and after one fallback of
+either loop the rest of the solve is dense. On the d > n shape a fallback
+forms the d x d X X^T, so a loop that stops at the step cap keeps its
+Ritz W instead (path "krylov", `eig_stop` "step cap"); it has no stall
+stop, and after a fallback the next W step tries Krylov again. A kept W is
+an ascent step (see below), but the solve may take more outer iterations:
+a 400 x 60 input at alpha = 10 and library defaults took 11 against 9
+with exact W steps, and ended 6e-5 below their J. With a stall stop, a
+1200 x 200 solve (benchmark seed 402) stalled on its third W step, and
+the process's peak resident memory rose from 50 to 109 MB.
 
-Why these rules, from single-process first W steps on the benchmark's
-blob generator (c = 5, beta = p = 1, seeds 101-106, shapes 800 x 1500,
-500 x 1000 and 400 x 2000, 2 vCPUs):
+Why these rules, from single-process W steps on the benchmark's blob
+generator (beta = p = 1 unless named, 1 BLAS thread on 2 vCPUs, min of 3
+timings per step):
 
-- alpha = 10: the residual rose over the first 4 block steps in all 18
-  first W steps; the stall stop falls back after those 4 steps, before
-  the loop's first restart at step 19.
-- alpha = 2: the residual keeps falling, slowly, so the loop does not
-  stall. It falls back after 34 steps on 800 x 1500 (seeds 1, 2 and 7):
-  one restart, then a cycle whose rate misses the step cap.
-- alpha = 0.1: the stall stop misfired on 3 of 54 W steps, costing speed
-  only; the dense eigh it falls back to is exact.
+- Davidson on the 800 x 1500 shape (c = d' = 5, seed 1, the first three W
+  steps of each solve): at alpha = 0.1 it converged in 5-6 steps and
+  15-27 ms against Krylov's 34-41 steps and 34-47 ms; at alpha = 2 in
+  9-10 steps and 25-29 ms, where Krylov stopped at the step cap after 34
+  steps and fell back to a 100 ms dense eigh; at alpha = 10 in 7-8 steps
+  and 18-34 ms, where Krylov stalled (first W step) or stopped at the
+  step cap, then fell back. Its subspaces lay within 1e-13 to 4e-10 of
+  the dense top 5.
+- `DAVIDSON_SPREAD`: over 406 W steps (shapes 131 x 300 to 800 x 1500,
+  d' 2-8, alpha in {0.1, 0.5, 0.9, 1.1, 2, 10}, beta in {0.1, 1, 10}, the
+  first three W steps of each solve) the steps took 9.36 s on Krylov
+  alone, 4.85 s with the rule at 10, 4.85 at 5, 5.01 at 20 and 5.58 at
+  100. Below 10 Davidson was the faster in 9 of 108 steps; of the 290
+  steps the rule sends to it, all converged and 214 were faster. At
+  alpha = 0.99 on 800 x 1500 (spread ratio 2) it missed its 32-step cap
+  (51-76 ms) where Krylov converged in 31 steps (29-37 ms).
+- alpha > 1 with d' > c: at d' = 8, c = 4 on 800 x 1500, 9 of 9 first W
+  steps missed Davidson's cap after 19-28 steps (166-237 ms), and Krylov
+  fell back too (105-181 ms). So those keep the Krylov loop.
+- beta = 1000: D's spread dwarfs the data term's (spread ratios 2e-9 to
+  0.5 over the first four W steps on 300 x 400, c = d' = 4), so the rule
+  keeps the Krylov loop. There the first W step stalled after 4 steps at
+  each alpha in {0.9, 0.99, 1.01, 1.1, 2, 10}.
 - 200 x 5000 at d' = 10 (d = 20 d'), forced onto the Krylov loop: its W
   steps took 44 ms per solve against 20 ms dense (medians of 9 solves),
   so shapes up to 65 d' stay dense.
-- after a fallback on d <= n, the rest of the solve is dense. Without
-  that rule, every later alpha = 10 W step on 800 x 1500 (seeds 1-6, one
-  shared start, 3 iterations, 1 BLAS thread, min of 3 solves) ran its
-  loop out, the residual falling too slowly to stall, before falling
-  back: 614-762 ms per solve against 374-463 ms with the rule. At alpha
-  = 0.1 and 1 no W step fell back; paths and step counts were unchanged.
+- after a fallback on d <= n, the rest of the solve is dense. Measured
+  when alpha = 10 W steps took the Krylov loop: without the rule, every
+  later one on 800 x 1500 (seeds 1-6, one shared start, 3 iterations)
+  ran its loop out, the residual falling too slowly to stall, before
+  falling back: 614-762 ms per solve against 374-463 ms with the rule.
+  It now applies where the rule keeps the Krylov loop and after a missed
+  Davidson cap.
 
 Either form of M leaves out a term whose weight is exactly 0, the X X^T
 term at alpha = 1 and the D term at beta = 0, and never forms it. The
@@ -96,7 +127,7 @@ loop through the held X X^T and 59-72-75 ms with a dense eigh of M;
 23-24-24 and 65-66-66 ms. Without the secular start, 300 x 250 took
 42-43-48, 32-42-43 and 48-48-50 ms.
 
-The previous W lies in the first Krylov basis, and each thick restart
+The previous W lies in the first basis of either loop, and each thick restart
 keeps the top d' Ritz vectors of the basis it replaces, so the Ritz W has
 Tr(W^T M W) >= Tr(W_prev^T M W_prev) wherever the loop stops: the W step
 stays an ascent step and the objective stays monotone whatever the
@@ -137,6 +168,7 @@ from .kmeans import centroids as update_g
 from .linalg import (
     EigenPairs,
     block_krylov_top,
+    fix_signs,
     gram_eig_top,
     require_centered,
     require_real,
@@ -156,6 +188,13 @@ EPS_ROW = 1e-8
 
 # A d <= n solve takes the Krylov W step when d > KRYLOV_MIN_WIDTH * d'.
 KRYLOV_MIN_WIDTH = 65
+
+# An alpha != 1 W step on the held X X^T takes the preconditioned loop when
+# the data term's spread is at least this many times beta's (see
+# `_davidson_pays`).
+DAVIDSON_SPREAD = 10.0
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -269,7 +308,9 @@ class SolverStart:
 
     `gram` is X X^T, held only on the dense path (d <= n); `eig` is the PCA
     init, the top d' eigenpairs of X X^T, with every eigenvalue its eigh
-    computed in `eig.spectrum`; `km` is the init K-means run on
+    computed in `eig.spectrum`, and every eigenvector in `eig.basis` where
+    a W step may take the Davidson loop (d <= n and d > 65 d'; None
+    elsewhere); `km` is the init K-means run on
     W^T X. A grid over alpha, beta, p or max_iter shares one start:
     `SeedSequence.generate_state` is prefix-stable, so the init run's seed
     does not depend on max_iter. `solve` refuses a start whose shape, d',
@@ -296,7 +337,9 @@ class MOperator:
     `dense` forms the d x d matrix for a dense eigh, from `gram` when held.
     A term with weight 0 (alpha = 1 for X X^T, beta = 0 for D) is never
     formed, in either form. `spectrum` holds the eigenvalues of X X^T,
-    descending, that the solve's start computed, for `top_floor`.
+    descending, that the solve's start computed, for `top_floor`, and
+    `basis` their eigenvectors, ascending, where the start kept them, for
+    the Davidson W step.
     """
 
     x: np.ndarray       # (d, n), centered
@@ -306,6 +349,7 @@ class MOperator:
     beta: float
     spectrum: np.ndarray            # (min(d, n),)
     gram: np.ndarray | None = None  # (d, d)
+    basis: np.ndarray | None = None  # (d, d), eigenvectors of X X^T
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         out = self.alpha * (self.scaled @ (self.scaled.T @ v))
@@ -389,7 +433,14 @@ def build_m(
     sums = centroid_sums(x, u.assignments, u.n_clusters)
     scaled = sums.T / np.sqrt(counts)          # (d, c)
     return MOperator(
-        x, scaled, d_diag, cfg.alpha, cfg.beta, start.eig.spectrum, start.gram
+        x,
+        scaled,
+        d_diag,
+        cfg.alpha,
+        cfg.beta,
+        start.eig.spectrum,
+        start.gram,
+        start.eig.basis,
     )
 
 
@@ -411,6 +462,12 @@ def update_w(
     product with X, so the loop also gives up as soon as its residual
     stops falling between two checks ("stall").
 
+    Where M holds the eigenbasis of X X^T, an alpha != 1 step whose data
+    term is spread widely enough against D (`_davidson_pays`) takes the
+    same loop preconditioned in that basis (`_davidson_top`, path
+    "davidson", no stall stop, step cap `linalg.DAVIDSON_MAX_STEPS`), and
+    falls back the same way ("davidson-fallback").
+
     At alpha = 1, M = S S^T - beta D is a diagonal plus a term of rank at
     most c - 1 (X is centered, so S's columns, weighted by sqrt(n_k), sum
     to 0). With beta > 0 and d' <= c, the loop then starts from
@@ -428,9 +485,12 @@ def update_w(
         return sym_eig_top(m.dense(), d_prime)
     if start.shape[1] != d_prime:
         raise ValueError("the Krylov W step needs a (d, d') start")
-    if m.alpha == 1.0 and m.beta > 0.0 and d_prime <= m.scaled.shape[1]:
-        start = secular_start(m.scaled, m.beta * m.d_diag, start)
-    ritz = block_krylov_top(m.__matmul__, start, stall=m.gram is not None)
+    if _davidson_pays(m, d_prime):
+        ritz = _davidson_top(m, start)
+    else:
+        if m.alpha == 1.0 and m.beta > 0.0 and d_prime <= m.scaled.shape[1]:
+            start = secular_start(m.scaled, m.beta * m.d_diag, start)
+        ritz = block_krylov_top(m.__matmul__, start, stall=m.gram is not None)
     slack = ritz.residual * float(np.abs(ritz.values).max())
     if ritz.converged:
         if ritz.values[-1] + slack >= m.top_floor(d_prime):
@@ -439,10 +499,75 @@ def update_w(
     elif m.gram is None and ritz.stop == "step cap":
         return ritz
     pairs = sym_eig_top(m.dense(), d_prime)
-    pairs.path = "krylov-fallback"
+    pairs.path = f"{ritz.path}-fallback"
     pairs.steps, pairs.checks, pairs.stop = ritz.steps, ritz.checks, ritz.stop
     pairs.restarts = ritz.restarts
     return pairs
+
+
+def _davidson_pays(m: MOperator, k: int) -> bool:
+    """Whether the W step on M takes the loop preconditioned in the
+    eigenbasis of X X^T (`_davidson_top`): M holds that basis, alpha != 1,
+    and the data term's spread there, |1 - alpha| (lambda_1 - lambda_d),
+    is at least `DAVIDSON_SPREAD` times beta (max D - min D), the spread
+    of the part that the basis leaves off the diagonal. At alpha > 1 it
+    also needs k <= c: past c the top k reach into the flat bottom of
+    X X^T's spectrum, where neither loop converges (module docstring)."""
+    if m.basis is None or m.alpha == 1.0:
+        return False
+    if m.alpha > 1.0 and k > m.scaled.shape[1]:
+        return False
+    data = abs(1.0 - m.alpha) * float(m.spectrum[0] - m.spectrum[-1])
+    stiff = m.beta * float(m.d_diag.max() - m.d_diag.min())
+    return data >= DAVIDSON_SPREAD * stiff
+
+
+def _davidson_top(m: MOperator, w_prev: np.ndarray) -> EigenPairs:
+    """Top-k Ritz pairs of M from `block_krylov_top`, run in the
+    eigenbasis V of X X^T and extended by preconditioned Ritz residuals.
+
+    In V's coordinates M is (1 - alpha) Lambda + alpha (V^T S)(V^T S)^T -
+    beta V^T D V, whose diagonal is m~ = (1 - alpha) Lambda +
+    alpha rowsq(V^T S) - beta (V o V)^T D, and each new block is
+    R / (theta_j - m~) for the residual R of the Ritz pairs
+    (theta_j, w_j): V ((V^T R) / (theta_j - m~)) in the original ones.
+    Applying M there costs two products with V, none at beta = 0. For
+    k <= c the first basis is [W_prev, z], z the `secular_start` of the
+    diagonal-plus-low-rank part diag((1 - alpha) Lambda -
+    beta (V o V)^T D) + alpha (V^T S)(V^T S)^T; otherwise W_prev alone.
+    The Ritz vectors come back through V.
+    """
+    v, alpha, beta = m.basis, m.alpha, m.beta
+    vs = v.T @ m.scaled
+    data = (1.0 - alpha) * m.spectrum[::-1]  # V's columns ascend
+    low = data
+    if beta != 0.0:
+        low = data - beta * np.einsum("ij,ij,i->j", v, v, m.d_diag)
+    diag = low + alpha * np.einsum("ij,ij->i", vs, vs)
+
+    def apply(b):
+        out = vs @ (vs.T @ b)
+        out *= alpha
+        out += data[:, None] * b
+        if beta != 0.0:
+            out -= v.T @ ((beta * m.d_diag)[:, None] * (v @ b))
+        return out
+
+    scale = float(np.abs(diag).max())
+
+    def precondition(resid, theta):
+        den = theta - diag[:, None]  # kept a few ulps off 0
+        tiny = _EPS * max(scale, float(np.abs(theta).max()))
+        den[np.abs(den) < tiny] = tiny
+        return resid / den
+
+    w_v, lead = v.T @ w_prev, None
+    if w_prev.shape[1] <= m.scaled.shape[1]:
+        z = secular_start(math.sqrt(alpha) * vs, -low, w_v)
+        lead = None if z is w_v else z
+    ritz = block_krylov_top(apply, w_v, precondition=precondition, lead=lead)
+    ritz.vectors = fix_signs(v @ ritz.vectors)
+    return ritz
 
 
 def _checked(x, cfg: SolverConfig) -> tuple[np.ndarray, int]:
@@ -467,7 +592,7 @@ def _start(x: np.ndarray, d_prime: int, cfg: SolverConfig) -> SolverStart:
         eig = gram_eig_top(x, d_prime)
     else:
         gram = x @ x.T
-        eig = sym_eig_top(gram, d_prime)
+        eig = sym_eig_top(gram, d_prime, d > KRYLOV_MIN_WIDTH * d_prime)
     seed = np.random.SeedSequence(cfg.seed).generate_state(1)[0]
     km = run_kmeans(eig.vectors.T @ x, cfg.c, int(seed))
     return SolverStart((d, n), d_prime, cfg.c, cfg.seed, gram, eig, km)
@@ -571,13 +696,13 @@ def solve(
         u, steps, winner = km.indicator, km.lloyd_steps, km.winner
         m = build_m(x, u, d_diag, cfg, start)
         eig = update_w(m, d_prime, w if krylov else None)
-        if eig.path == "krylov-fallback":
+        if eig.path.endswith("-fallback"):
             # A dense shape's fallback is likely to recur; from d > n the
             # dense path costs a d x d Gram, so each W step tries again.
             krylov = matrix_free
             _log.debug(
-                "w step %d: dense eigh after the krylov loop stopped (%s); "
-                "%s", i, eig.stop,
+                "w step %d: dense eigh after the %s loop stopped (%s); %s",
+                i, eig.path.removesuffix("-fallback"), eig.stop,
                 "the next w step tries krylov again" if krylov
                 else "the rest of the solve is dense",
             )

@@ -93,6 +93,32 @@ def test_record_trace_reports_the_eigensolver(tmp_path):
     assert max(tr["eig_residual"]) <= 1e-8
 
 
+def test_record_trace_reports_the_preconditioned_loop(tmp_path):
+    # d = 150 > 65 d' = 130 features, n = 200 samples: X X^T and its
+    # eigenbasis are held, and at alpha = 0.1, beta = 0.1 the W steps run in
+    # that basis.
+    held = (
+        "blobs:n_per_cluster=100,c=2,d_informative=5,d_noise=145,"
+        "separation=4.0,noise_scale=1.0"
+    )
+    out = tmp_path / "out"
+    run_experiment(
+        spec_for(
+            out, synthetic=held, clusters=2, alpha=[0.1], beta=[0.1],
+            select_counts=[5], max_iter=3,
+        )
+    )
+    record, _ = load_record(out / "record_gp000.json")
+    tr = record["trace"]
+    states = len(tr["objective"])
+    assert states > 1
+    assert tr["eig_path"] == ["dense"] + ["davidson"] * (states - 1)
+    for steps, checks in zip(tr["eig_steps"][1:], tr["eig_checks"][1:]):
+        assert checks == steps + 1
+    assert set(tr["eig_stop"]) == {""}
+    assert max(tr["eig_residual"]) <= 1e-8
+
+
 def test_record_trace_reports_the_u_update(tmp_path):
     for side in ("a", "b"):
         run_experiment(spec_for(tmp_path / side, restarts=3))

@@ -2,10 +2,12 @@
 ascent by construction, the dense fallback, rank-deficient and zero-row
 inputs, the alpha = 1 start from the secular roots, and the memory it
 saves. It runs matrix-free when d > n, and on M through the held X X^T
-when n >= d > 65 d'."""
+when n >= d > 65 d', where an alpha != 1 step may take the same loop
+preconditioned in the eigenbasis of X X^T (the Davidson W step)."""
 
 import hashlib
 import logging
+import math
 import tracemalloc
 
 import numpy as np
@@ -68,10 +70,10 @@ def test_krylov_agrees_with_dense_eigh_on_the_shape_ladder(shape, k):
     assert np.linalg.norm(v.T @ v - np.eye(k)) <= 1e-12
 
 
-def dense_shape_w_step(x, alpha, beta, k, c=4):
+def dense_shape_w_step(x, alpha, beta, k, c=4, p=1.0):
     """M of a solve's first W step on a d <= n input, holding the start's
     X X^T, and the PCA W that step starts from."""
-    cfg = SolverConfig(alpha=alpha, beta=beta, p=1.0, c=c, d_prime=k)
+    cfg = SolverConfig(alpha=alpha, beta=beta, p=p, c=c, d_prime=k)
     start = build_start(x, cfg)
     w = start.eig.vectors
     op = build_m(x, start.km.indicator, compute_d(w, cfg), cfg, start)
@@ -83,8 +85,11 @@ def dense_shape_w_step(x, alpha, beta, k, c=4):
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("shape", [(300, 400), (200, 900)])
 def test_krylov_agrees_with_dense_eigh_on_the_dense_shape_ladder(
-    shape, k, alpha
+    shape, k, alpha, monkeypatch
 ):
+    # At k = 3 and alpha = 0.1 the rule picks the preconditioned loop; the
+    # Krylov loop is held to the same agreement there.
+    monkeypatch.setattr(solver, "DAVIDSON_SPREAD", math.inf)
     op, start = dense_shape_w_step(blobs(*shape, seed=k), alpha, 1.0, k)
     ritz = update_w(op, k, start)
     dense = sym_eig_top(op.dense(), k)
@@ -245,11 +250,13 @@ def test_w_steps_without_the_secular_start_keep_their_bits(
 
 
 def test_a_stalled_dense_shape_w_step_falls_back_once(caplog):
-    # At alpha = 10 the residual rises over the first block steps: the loop
-    # gives up at its second check, and the rest of the solve is dense.
+    # At alpha = 10, beta = 1000 the reweighting diagonal is too stiff for
+    # the eigenbasis of X X^T, so the W step takes the Krylov loop. Its
+    # residual rises over the first block steps: the loop gives up at its
+    # second check, and the rest of the solve is dense.
     caplog.set_level(logging.DEBUG, logger="ufcm.solver")
     x = blobs(300, 400)
-    cfg = SolverConfig(alpha=10.0, beta=1.0, p=1.0, c=4, max_iter=4)
+    cfg = SolverConfig(alpha=10.0, beta=1000.0, p=1.0, c=4, max_iter=4)
     tr = check_solve(x, cfg).trace
     assert tr.eig_path == ["dense", "krylov-fallback"] + ["dense"] * 3
     assert tr.eig_stop == ["", "stall"] + [""] * 3
@@ -329,12 +336,13 @@ def test_every_d_greater_than_n_w_step_stays_on_the_loop(monkeypatch):
 
 
 def test_a_dense_shape_w_step_at_the_step_cap_still_falls_back(monkeypatch):
-    # d <= n at alpha = 2: the first W step's rate misses the step cap at
-    # its first restart. With X X^T held it falls back to the dense eigh
-    # of M, and the rest of the solve is dense, so W, U and J keep the
-    # bits of the solve routed dense from the start.
+    # d <= n at alpha = 1.1, near enough 1 that the W step takes the Krylov
+    # loop: the first W step's rate misses the step cap at its first
+    # restart. With X X^T held it falls back to the dense eigh of M, and
+    # the rest of the solve is dense, so W, U and J keep the bits of the
+    # solve routed dense from the start.
     x = blobs(300, 400)
-    cfg = SolverConfig(alpha=2.0, beta=1.0, p=1.0, c=4, max_iter=4)
+    cfg = SolverConfig(alpha=1.1, beta=1.0, p=1.0, c=4, max_iter=4)
     res = solve(x, cfg)
     tr = res.trace
     assert tr.eig_path[:2] == ["dense", "krylov-fallback"]
@@ -346,6 +354,178 @@ def test_a_dense_shape_w_step_at_the_step_cap_still_falls_back(monkeypatch):
     assert np.array_equal(res.w, dense.w)
     assert np.array_equal(res.u.assignments, dense.u.assignments)
     assert tr.objective == dense.trace.objective
+
+
+@pytest.mark.parametrize("p", [0.5, 1.5])
+@pytest.mark.parametrize("alpha", [0.1, 2.0, 10.0])
+def test_a_preconditioned_w_step_matches_dense_eigh(alpha, p):
+    # d = 300 > 65 d' = 260 with X X^T held: the step runs in X X^T's
+    # eigenbasis, from [W_prev, the secular roots] at d' = c, and its Ritz
+    # pairs match the dense top d'. beta = 0.1 keeps D's spread below
+    # DAVIDSON_SPREAD times the data term's at p = 0.5.
+    x = blobs(300, 400, seed=5)
+    op, w_prev = dense_shape_w_step(x, alpha, 0.1, 4, p=p)
+    calls = []
+
+    def spy(apply, start, **kwargs):
+        calls.append(kwargs["lead"])
+        return block_krylov_top(apply, start, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "block_krylov_top", spy)
+        got = update_w(op, 4, w_prev)
+    assert (got.path, got.stop, got.converged) == ("davidson", "", True)
+    assert len(calls) == 1 and calls[0].shape == (300, 4)
+    assert got.checks == got.steps + 1 and got.basis is None
+    m = op.dense()
+    dense = sym_eig_top(m, 4)
+    scale = float(np.abs(dense.values).max())
+    assert np.abs(got.values - dense.values).max() <= 1e-9 * scale
+    v, u = got.vectors, dense.vectors
+    assert np.linalg.norm(v - u @ (u.T @ v), 2) <= 1e-8
+    assert np.linalg.norm(v.T @ v - np.eye(4)) <= 1e-12
+    assert trace_of(m, v) >= trace_of(m, w_prev)
+    cfg = SolverConfig(alpha=alpha, beta=0.1, p=p, c=4)
+    res = check_solve(x, cfg)
+    assert set(res.trace.eig_path[1:]) == {"davidson"}
+
+
+def test_a_preconditioned_w_step_past_c_starts_from_w_prev_alone(
+    monkeypatch,
+):
+    # d' = 5 > c = 4: the secular start does not apply, so the first basis
+    # is W_prev and the loop extends it by preconditioned residuals only.
+    calls, leads = [], []
+
+    def spy(*args):
+        calls.append(1)
+        return secular_start(*args)
+
+    def loop(apply, start, **kwargs):
+        leads.append(kwargs["lead"])
+        return block_krylov_top(apply, start, **kwargs)
+
+    monkeypatch.setattr(solver, "secular_start", spy)
+    monkeypatch.setattr(solver, "block_krylov_top", loop)
+    x = blobs(400, 500, seed=2)
+    op, w_prev = dense_shape_w_step(x, 0.5, 1.0, 5)
+    got = update_w(op, 5, w_prev)
+    dense = sym_eig_top(op.dense(), 5)
+    assert (got.path, calls, leads) == ("davidson", [], [None])
+    v, u = got.vectors, dense.vectors
+    assert np.linalg.norm(v - u @ (u.T @ v), 2) <= 1e-8
+    cfg = SolverConfig(alpha=0.5, beta=1.0, p=1.0, c=4, d_prime=5, max_iter=3)
+    tr = check_solve(x, cfg).trace
+    assert tr.eig_path == ["dense"] + ["davidson"] * 3
+    assert calls == []
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_a_stiff_diagonal_w_step_falls_back_and_the_rest_is_dense(
+    forced, caplog, monkeypatch
+):
+    # At beta = 1000 D's spread dwarfs the data term's, so the rule keeps
+    # the Krylov loop, which misses the step cap on the second W step.
+    # Forced onto the preconditioned loop, the first W step misses its own
+    # cap instead. Either way the fallback's dense eigh holds no basis, and
+    # the rest of the solve is dense.
+    caplog.set_level(logging.DEBUG, logger="ufcm.solver")
+    if forced:
+        monkeypatch.setattr(solver, "DAVIDSON_SPREAD", 0.0)
+    loop, at = ("davidson", 1) if forced else ("krylov", 2)
+    x = blobs(300, 400)
+    cfg = SolverConfig(alpha=0.1, beta=1000.0, p=1.0, c=4, max_iter=4)
+    steps = []
+
+    def spy(m, k, w):
+        steps.append(update(m, k, w))
+        return steps[-1]
+
+    update = solver.update_w
+    monkeypatch.setattr(solver, "update_w", spy)
+    res = solve(x, cfg)
+    tr = res.trace
+    assert tr.eig_path == (
+        ["dense"] + [loop] * (at - 1) + [f"{loop}-fallback"]
+        + ["dense"] * (4 - at)
+    )
+    assert tr.eig_stop[at] == "step cap"
+    assert tr.eig_steps[at] <= (
+        linalg.DAVIDSON_MAX_STEPS if forced else linalg.KRYLOV_MAX_STEPS
+    )
+    assert all(pairs.basis is None for pairs in steps)
+    lines = [
+        r.getMessage() for r in caplog.records if r.name == "ufcm.solver"
+    ]
+    assert [m for m in lines if m.startswith("w step")] == [
+        f"w step {at}: dense eigh after the {loop} loop stopped (step cap); "
+        "the rest of the solve is dense"
+    ]
+    obj = tr.objective
+    for prev, cur in zip(obj, obj[1:]):
+        assert cur >= prev - 1e-8 * (1.0 + abs(prev))
+    assert max(tr.w_orth_error) <= 1e-8
+
+
+def test_alpha_near_one_keeps_the_krylov_loop():
+    # At alpha = 0.99 the data term is a hundredth of M's, and its
+    # eigenbasis preconditions too little: on an 800 x 1500 blob input the
+    # preconditioned loop missed its 32-step cap where Krylov converged in
+    # 31 steps.
+    x = blobs(300, 400)
+    op, _ = dense_shape_w_step(x, 0.99, 1.0, 4)
+    assert not solver._davidson_pays(op, 4)
+    cfg = SolverConfig(alpha=0.99, beta=1.0, p=1.0, c=4, max_iter=2)
+    assert check_solve(x, cfg).trace.eig_path == ["dense"] + ["krylov"] * 2
+
+
+def test_routed_w_steps_log_the_preconditioned_loop(caplog):
+    caplog.set_level(logging.DEBUG, logger="ufcm.solver")
+    x = blobs(300, 400)
+    cfg = SolverConfig(alpha=10.0, beta=1.0, p=1.0, c=4, max_iter=2)
+    tr = solve(x, cfg).trace
+    lines = [
+        r.getMessage() for r in caplog.records if r.name == "ufcm.solver"
+    ]
+    assert len(lines) == len(tr) == 3
+    for i, line in enumerate(lines[1:], start=1):
+        assert tr.eig_path[i] == "davidson"
+        assert tr.eig_checks[i] == tr.eig_steps[i] + 1
+        assert f" eig_path=davidson eig_steps={tr.eig_steps[i]} " in line
+        assert "eig_stop" not in line
+
+
+@pytest.mark.parametrize(
+    "shape, held",
+    [((300, 400), True), ((260, 400), False), ((400, 300), False)],
+)
+def test_the_start_keeps_the_eigh_basis_only_for_the_preconditioned_loop(
+    shape, held, monkeypatch
+):
+    # d <= n and d > 65 d': the start keeps every eigenvector of X X^T as
+    # `eigh` returned it, not a copy; at d <= 65 d' (dense W steps) and at
+    # d > n (no X X^T) it keeps none.
+    out, eigh = [], np.linalg.eigh
+
+    def spy(a):
+        out.append(eigh(a))
+        return out[-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    x = blobs(*shape, seed=3)
+    start = build_start(x, SolverConfig(alpha=0.5, beta=1.0, p=1.0, c=4))
+    basis = start.eig.basis
+    if not held:
+        assert basis is None
+        return
+    assert basis is out[0][1]
+    lam = start.eig.spectrum[::-1]
+    gram = x @ x.T
+    assert np.abs(basis.T @ gram @ basis - np.diag(lam)).max() <= (
+        1e-12 * lam[-1]
+    )
+    top = basis[:, ::-1][:, :4]
+    assert np.array_equal(np.abs(top), np.abs(start.eig.vectors))
 
 
 def tiny_gap_operator(d, k=4, seed=0):
