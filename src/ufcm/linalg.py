@@ -74,8 +74,8 @@ class EigenPairs:
     "krylov-fallback" or "davidson-fallback" (set by `solver.update_w`)
     for a dense decomposition taken after that loop was abandoned, whose
     steps, checks and restarts are then counted. `stop` names why a loop
-    stopped short: "step cap", "stall", "invariant basis", "full basis",
-    or "floor" (set by `solver.update_w`); it is empty otherwise. On
+    stopped short: "step cap", "invariant basis", "full basis", or
+    "floor" (set by `solver.update_w`); it is empty otherwise. On
     fallback pairs it says why the loop was abandoned; on "krylov" pairs
     (a matrix-free W step kept at "step cap") why they are not converged.
     `spectrum` holds every eigenvalue the direct decomposition computed,
@@ -214,7 +214,6 @@ def gram_eig_top(x: np.ndarray, k: int) -> EigenPairs:
 def block_krylov_top(
     apply: Callable[[np.ndarray], np.ndarray],
     start: np.ndarray,
-    stall: bool = False,
     precondition: (
         Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     ) = None,
@@ -275,9 +274,7 @@ def block_krylov_top(
     residual did not fall); restarts do not reset this schedule. A check
     also comes at the step cap, at every step that may restart, and at
     every step whose next block could give the basis d columns, so
-    converged pairs never leave through that exit. With `stall`, the loop
-    also stops at a check whose residual is no lower than the one before,
-    for a caller to whom a dense decomposition is cheaper than a slow loop.
+    converged pairs never leave through that exit.
 
     The residual cannot fall below the round-off of `eigh` on T, about
     eps * ||T||. When A has entries far above its top eigenvalues (the
@@ -298,14 +295,15 @@ def block_krylov_top(
     projections (one per restart among them) and `restarts` the restarts.
     `converged` is False when the loop stopped short of the tolerance, and
     `stop` says where: at the step cap (reached, or out of reach at a
-    restart), at a stall, when the next block
-    would give the basis d columns ("full basis"), or when the basis became
-    invariant first. An invariant basis gives exact eigenpairs, but not
-    necessarily the top k: a start confined to an invariant subspace of A
-    never leaves it. The same holds, undetected, for a start that reaches
-    the tolerance inside such a subspace; only the caller, who knows A, can
-    rule that out (see `solver.update_w`). The Ritz pairs are returned
-    either way; the caller decides whether to use them.
+    restart), when the next block would give the basis d columns ("full
+    basis"), or when the basis became invariant first. Besides
+    convergence, these are the loop's only exits, for every caller. An
+    invariant basis gives exact eigenpairs, but not necessarily the top k:
+    a start confined to an invariant subspace of A never leaves it. The
+    same holds, undetected, for a start that reaches the tolerance inside
+    such a subspace; only the caller, who knows A, can rule that out (see
+    `solver.update_w`). The Ritz pairs are returned either way; the caller
+    decides whether to use them.
     """
     start = np.asarray(start, dtype=np.float64)
     d, k = start.shape
@@ -344,9 +342,6 @@ def block_krylov_top(
                 ritz.stop = "step cap"
                 break
             log_excess = math.log(excess)
-            if stall and last is not None and log_excess >= last[1]:
-                ritz.stop = "stall"
-                break
             if precondition is None:
                 due = _next_check(steps, log_excess, last)
             else:

@@ -61,17 +61,16 @@ only, the step cap, reached or out of reach at a restart), or when its
 Ritz values fall below a lower bound on M's top d' eigenvalues
 (`MOperator.top_floor`, Weyl's inequality on the X X^T eigenvalues that
 the start's eigh returned). On the d <= n shape, forming M needs no
-product with X, so the Krylov loop also stops as soon as its residual
-fails to fall between two checks ("stall"), and after one fallback of
-either loop the rest of the solve is dense. On the d > n shape a fallback
-forms the d x d X X^T, so a loop that stops at the step cap keeps its
-Ritz W instead (path "krylov", `eig_stop` "step cap"); it has no stall
-stop, and after a fallback the next W step tries Krylov again. A kept W is
-an ascent step (see below), but the solve may take more outer iterations:
-a 400 x 60 input at alpha = 10 and library defaults took 11 against 9
-with exact W steps, and ended 6e-5 below their J. With a stall stop, a
-1200 x 200 solve (benchmark seed 402) stalled on its third W step, and
-the process's peak resident memory rose from 50 to 109 MB.
+product with X, so after one fallback of either loop the rest of the
+solve is dense. On the d > n shape a fallback forms the d x d X X^T, so a
+loop that stops at the step cap keeps its Ritz W instead (path "krylov",
+`eig_stop` "step cap"), and after a fallback the next W step tries
+Krylov again. A kept W is an ascent step (see below), but the solve may
+take more outer iterations: a 400 x 60 input at alpha = 10 and library
+defaults took 11 against 9 with exact W steps, and ended 6e-5 below their
+J. The loop has the same exits on either shape (`linalg.block_krylov_top`);
+the one that gives up on a residual that still falls is the step cap's
+rate test at a restart.
 
 Why these rules, from single-process W steps on the benchmark's blob
 generator (beta = p = 1 unless named, 1 BLAS thread on 2 vCPUs, min of 3
@@ -82,9 +81,8 @@ timings per step):
   15-27 ms against Krylov's 34-41 steps and 34-47 ms; at alpha = 2 in
   9-10 steps and 25-29 ms, where Krylov stopped at the step cap after 34
   steps and fell back to a 100 ms dense eigh; at alpha = 10 in 7-8 steps
-  and 18-34 ms, where Krylov stalled (first W step) or stopped at the
-  step cap, then fell back. Its subspaces lay within 1e-13 to 4e-10 of
-  the dense top 5.
+  and 18-34 ms, where Krylov stopped short of its tolerance and fell
+  back. Its subspaces lay within 1e-13 to 4e-10 of the dense top 5.
 - `DAVIDSON_SPREAD`: over 406 W steps (shapes 131 x 300 to 800 x 1500,
   d' 2-8, alpha in {0.1, 0.5, 0.9, 1.1, 2, 10}, beta in {0.1, 1, 10}, the
   first three W steps of each solve) the steps took 9.36 s on Krylov
@@ -98,18 +96,24 @@ timings per step):
   fell back too (105-181 ms). So those keep the Krylov loop.
 - beta = 1000: D's spread dwarfs the data term's (spread ratios 2e-9 to
   0.5 over the first four W steps on 300 x 400, c = d' = 4), so the rule
-  keeps the Krylov loop. There the first W step stalled after 4 steps at
-  each alpha in {0.9, 0.99, 1.01, 1.1, 2, 10}.
+  keeps the Krylov loop.
 - 200 x 5000 at d' = 10 (d = 20 d'), forced onto the Krylov loop: its W
   steps took 44 ms per solve against 20 ms dense (medians of 9 solves),
   so shapes up to 65 d' stay dense.
-- after a fallback on d <= n, the rest of the solve is dense. Measured
-  when alpha = 10 W steps took the Krylov loop: without the rule, every
-  later one on 800 x 1500 (seeds 1-6, one shared start, 3 iterations)
-  ran its loop out, the residual falling too slowly to stall, before
-  falling back: 614-762 ms per solve against 374-463 ms with the rule.
-  It now applies where the rule keeps the Krylov loop and after a missed
-  Davidson cap.
+- after a fallback on d <= n, the rest of the solve is dense. Against
+  retrying the loop on every W step (800 x 1500, c = d' = 5 unless named,
+  library defaults, one shared start, min of 4 solves), retrying was
+  faster at alpha in {0.001, 0.1}, beta = 1000 (3.34-3.41 against
+  2.89-3.03 s), at alpha = 1, beta = 1000 (1.46 against 0.83 s), at
+  alpha in {1.01, 1.05}, beta = 1 (0.51-1.03 against 0.41-0.59 s) and
+  at alpha = 1.1, beta = 10 (2.36 against 1.33 s; 5.08 against 3.02 s
+  at c = 4, d' = 8). It was slower at alpha = 10, beta = 1000 (5.12
+  against 7.03 s), at alpha = 0.99, beta = 0.1 (0.43 against 0.60 s:
+  the Davidson loop misses its cap on every W step) and at the other
+  c = 4, d' = 8 points with alpha in {1.1, 2, 10}, beta in {0.1, 1, 10}
+  (15-40 % slower: nearly every retried W step misses the cap again).
+  No rule that reads only the W step at hand was shown to win on both
+  sets, so the rule stays.
 
 Either form of M leaves out a term whose weight is exactly 0, the X X^T
 term at alpha = 1 and the D term at beta = 0, and never forms it. The
@@ -458,15 +462,13 @@ def update_w(
     with the loop's reason in `stop`). The exception is a matrix-free M
     (no X X^T held) whose loop stops at "step cap": its Ritz pairs come
     back unconverged (path "krylov", `stop` "step cap"), an ascent step
-    that forms no d x d array. When M holds X X^T, its dense form needs no
-    product with X, so the loop also gives up as soon as its residual
-    stops falling between two checks ("stall").
+    that forms no d x d array.
 
     Where M holds the eigenbasis of X X^T, an alpha != 1 step whose data
     term is spread widely enough against D (`_davidson_pays`) takes the
     same loop preconditioned in that basis (`_davidson_top`, path
-    "davidson", no stall stop, step cap `linalg.DAVIDSON_MAX_STEPS`), and
-    falls back the same way ("davidson-fallback").
+    "davidson", step cap `linalg.DAVIDSON_MAX_STEPS`), and falls back the
+    same way ("davidson-fallback").
 
     At alpha = 1, M = S S^T - beta D is a diagonal plus a term of rank at
     most c - 1 (X is centered, so S's columns, weighted by sqrt(n_k), sum
@@ -490,7 +492,7 @@ def update_w(
     else:
         if m.alpha == 1.0 and m.beta > 0.0 and d_prime <= m.scaled.shape[1]:
             start = secular_start(m.scaled, m.beta * m.d_diag, start)
-        ritz = block_krylov_top(m.__matmul__, start, stall=m.gram is not None)
+        ritz = block_krylov_top(m.__matmul__, start)
     slack = ritz.residual * float(np.abs(ritz.values).max())
     if ritz.converged:
         if ritz.values[-1] + slack >= m.top_floor(d_prime):
@@ -572,10 +574,12 @@ def _davidson_top(m: MOperator, w_prev: np.ndarray) -> EigenPairs:
 
 def _checked(x, cfg: SolverConfig) -> tuple[np.ndarray, int]:
     """X as a C-order float64 array, and d'; raises ValueError unless X is
-    a real, finite, centered (d, n) matrix that fits cfg."""
+    a real, finite, centered (d, n) matrix, d, n >= 1, that fits cfg."""
     x = np.ascontiguousarray(require_real(x, "x"), dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("x must be a (d, n) matrix")
+    if min(x.shape) < 1:
+        raise ValueError(f"x must have d >= 1 and n >= 1, got shape {x.shape}")
     require_centered(x)
     return x, cfg.d_prime_for(*x.shape)
 

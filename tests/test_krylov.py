@@ -249,25 +249,26 @@ def test_w_steps_without_the_secular_start_keep_their_bits(
         assert vars(res.trace) == vars(without.trace)
 
 
-def test_a_stalled_dense_shape_w_step_falls_back_once(caplog):
+def test_a_stiff_dense_shape_w_step_falls_back_once_at_the_step_cap(caplog):
     # At alpha = 10, beta = 1000 the reweighting diagonal is too stiff for
     # the eigenbasis of X X^T, so the W step takes the Krylov loop. Its
-    # residual rises over the first block steps: the loop gives up at its
-    # second check, and the rest of the solve is dense.
+    # residual rises over the first block steps, yet the first three W
+    # steps converge on the loop. The fourth misses the step cap at its
+    # first restart and falls back, once per solve.
     caplog.set_level(logging.DEBUG, logger="ufcm.solver")
     x = blobs(300, 400)
     cfg = SolverConfig(alpha=10.0, beta=1000.0, p=1.0, c=4, max_iter=4)
     tr = check_solve(x, cfg).trace
-    assert tr.eig_path == ["dense", "krylov-fallback"] + ["dense"] * 3
-    assert tr.eig_stop == ["", "stall"] + [""] * 3
-    assert 1 <= tr.eig_steps[1] <= 8
+    assert tr.eig_path == ["dense"] + ["krylov"] * 3 + ["krylov-fallback"]
+    assert tr.eig_stop == [""] * 4 + ["step cap"]
+    assert tr.eig_restarts[4] == 0
     lines = [
         r.getMessage() for r in caplog.records if r.name == "ufcm.solver"
     ]
     fallbacks = [m for m in lines if m.startswith("w step")]
     # check_solve solves twice.
     assert fallbacks == [
-        "w step 1: dense eigh after the krylov loop stopped (stall); "
+        "w step 4: dense eigh after the krylov loop stopped (step cap); "
         "the rest of the solve is dense"
     ] * 2
     assert len(lines) == 2 * (len(tr) + 1)
@@ -467,16 +468,20 @@ def test_a_stiff_diagonal_w_step_falls_back_and_the_rest_is_dense(
     assert max(tr.w_orth_error) <= 1e-8
 
 
-def test_alpha_near_one_keeps_the_krylov_loop():
+@pytest.mark.parametrize("beta, max_iter", [(1.0, 2), (10.0, 5)])
+def test_alpha_near_one_keeps_the_krylov_loop(beta, max_iter):
     # At alpha = 0.99 the data term is a hundredth of M's, and its
     # eigenbasis preconditions too little: on an 800 x 1500 blob input the
     # preconditioned loop missed its 32-step cap where Krylov converged in
-    # 31 steps.
+    # 31 steps. At beta = 10 the fifth W step's residual rises between its
+    # first checks, and the loop still converges.
     x = blobs(300, 400)
-    op, _ = dense_shape_w_step(x, 0.99, 1.0, 4)
+    op, _ = dense_shape_w_step(x, 0.99, beta, 4)
     assert not solver._davidson_pays(op, 4)
-    cfg = SolverConfig(alpha=0.99, beta=1.0, p=1.0, c=4, max_iter=2)
-    assert check_solve(x, cfg).trace.eig_path == ["dense"] + ["krylov"] * 2
+    cfg = SolverConfig(alpha=0.99, beta=beta, p=1.0, c=4, max_iter=max_iter)
+    tr = check_solve(x, cfg).trace
+    assert tr.eig_path == ["dense"] + ["krylov"] * max_iter
+    assert tr.eig_stop == [""] * (max_iter + 1)
 
 
 def test_routed_w_steps_log_the_preconditioned_loop(caplog):

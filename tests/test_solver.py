@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -567,6 +568,13 @@ def test_solve_validates_dimensions():
         solve(x, cfg_for(d_prime=x.shape[0] + 1))
     with pytest.raises(ValueError, match="exceeds sample count"):
         solve(x, cfg_for(c=x.shape[1] + 1, d_prime=2))
+    # An empty X is refused by its shape, before any reduction over it.
+    for shape in [(0, 5), (5, 0)]:
+        for entry in (solve, build_start):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"shape \(\d, \d\)"):
+                    entry(np.zeros(shape), cfg_for(c=1))
 
 
 def test_solve_non_convergence_returns_full_trace():
